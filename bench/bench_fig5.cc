@@ -50,7 +50,7 @@ int Run(int argc, char** argv) {
                                AllocationKind::kAdaptive,
                                dataset.average_length,
                                options.seed + 100 + mi);
-      auto service = TrajectoryService::CreateWithEngine(
+      auto service = TrajectoryService::Create(
           dataset.prepared->states(), std::move(engine));
       service.status().CheckOK();
       ReplayDatabase(dataset.prepared->db(), *service.value()).CheckOK();

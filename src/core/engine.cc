@@ -59,20 +59,9 @@ Status RetraSynConfig::Validate() const {
         "num_threads " + std::to_string(num_threads) +
         " exceeds the sanity cap of " + std::to_string(kMaxThreads));
   }
-  if (ingest_shards < 1) {
-    return Status::InvalidArgument(
-        "ingest_shards must be >= 1 (1 = unsharded ingestion), got " +
-        std::to_string(ingest_shards));
-  }
-  if (ingest_shards > kMaxIngestShards) {
-    return Status::InvalidArgument(
-        "ingest_shards " + std::to_string(ingest_shards) +
-        " exceeds the sanity cap of " + std::to_string(kMaxIngestShards));
-  }
-  // round_queue_capacity and the journal_*/checkpoint_* fields are
-  // service-layer state
-  // (ignored by bare engines); ServiceOptions::Validate owns their checks,
-  // via the TrajectoryService factories.
+  // The inherited service fields are ignored by bare engines;
+  // ServiceOptions::Validate owns their checks, via the TrajectoryService
+  // factories.
   return Status::OK();
 }
 
@@ -168,7 +157,6 @@ void RetraSynEngine::EnsureUser(uint32_t user) {
 
 void RetraSynEngine::RetireQuitted(int64_t t) {
   retired_last_round_.clear();
-  if (!config_.recycle_stream_indices) return;
   // A quitted stream's last possible report was its quit round (the quit
   // transition itself), so once that round leaves the w-window the index's
   // whole contribution has left it too — Alg. 1's recycle boundary, applied
@@ -290,7 +278,7 @@ void RetraSynEngine::CommitStatuses(const TimestampBatch& batch,
       if (config_.allocation.kind == AllocationKind::kRandom) {
         report_slot_[obs.user_index] = kNoSlot;
       }
-      if (config_.recycle_stream_indices) quitted.push_back(obs.user_index);
+      quitted.push_back(obs.user_index);
     }
   }
   if (!quitted.empty()) quitted_at_.emplace_back(t, std::move(quitted));

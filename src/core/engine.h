@@ -68,6 +68,83 @@ enum class BackpressurePolicy {
               ///< with its events intact and the Tick may be retried later
 };
 
+/// \brief Deployment knobs of the service layer (src/service/): round
+/// closing, ingest sharding, the event journal, checkpoints and telemetry.
+/// Every field is read only by TrajectoryService; a bare engine ignores them.
+/// RetraSynConfig derives from this struct, so a RetraSyn deployment sets
+/// them on its config; custom engines pass a ServiceOptions to the
+/// TrajectoryService factories.
+struct ServiceOptions {
+  /// kAsync moves the round-closing work off the ingest thread onto a
+  /// dedicated closer worker per service (the parallel synthesis inside still
+  /// uses RetraSynConfig::thread_pool/num_threads). For a fixed
+  /// (seed, num_threads) the release sequence and snapshots are
+  /// byte-identical to kInline; only the thread that produces them changes.
+  /// Requires TrajectoryService::Drain() before SnapshotRelease().
+  SyncPolicy sync_policy = SyncPolicy::kInline;
+  /// Bounded depth of the async round queue (sealed batches waiting for the
+  /// closer); >= 1. Ignored under kInline.
+  int round_queue_capacity = 8;
+  /// Tick() behavior when the async round queue is full.
+  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
+  /// Ingest shards: the service's IngestSession partitions users across this
+  /// many shards (hash of user id), each owning its slice of validation,
+  /// pending-event state, and — when journaling — its own journal segment
+  /// stream under journal_dir/shard-NNN. Shards admit events concurrently
+  /// (one producer thread per shard scales batch production across cores);
+  /// Tick() seals every shard in parallel and k-way-merges the sorted shard
+  /// batches into the same deterministic observation sequence a single shard
+  /// produces, so for a fixed shard count the released bytes are identical
+  /// to ingest_shards = 1. The shard count is part of the deployment
+  /// fingerprint: a journal written under N shards only replays under N.
+  /// Values above kMaxIngestShards are rejected by Validate.
+  int ingest_shards = 1;
+  /// Directory of the durable event journal (write-ahead log of every
+  /// accepted Enter/Move/Quit/Tick). Empty disables journaling. Non-empty:
+  /// TrajectoryService::Create requires the directory to hold no existing
+  /// journal (fresh deployment); TrajectoryService::Recover replays an
+  /// existing one and continues appending. See docs/durability.md.
+  std::string journal_dir;
+  /// When the journal fsyncs. kEveryRound (default) makes every closed round
+  /// crash-durable; kNever trusts the OS; kEveryRecord hardens every event.
+  FsyncPolicy journal_fsync = FsyncPolicy::kEveryRound;
+  /// Journal segment rotation threshold in bytes.
+  int64_t journal_segment_bytes = 64 << 20;
+  /// Write a full service checkpoint every N closed rounds (0 = off).
+  /// Requires journal_dir, checkpoint_dir and a RetraSynEngine (custom
+  /// engines have no serializable state). Recovery then loads the newest
+  /// checkpoint and replays only the journal suffix behind it — O(window)
+  /// instead of O(horizon) — and compaction retires journal segments older
+  /// than the oldest retained checkpoint minus the w-window. Deliberately
+  /// NOT part of the deployment fingerprint: cadence and retention may
+  /// change across restarts. See docs/durability.md.
+  int64_t checkpoint_every_rounds = 0;
+  /// Directory for checkpoint and history spill files.
+  std::string checkpoint_dir;
+  /// Newest checkpoints kept on disk (>= 1; default 2, so one corrupted
+  /// checkpoint still leaves a bounded-replay recovery path).
+  int checkpoint_retain = 2;
+  /// Move closed synthetic streams into history spill files at every
+  /// checkpoint, keeping steady-state memory flat over unbounded horizons;
+  /// SnapshotRelease reads them back on demand.
+  bool checkpoint_spill_history = true;
+  /// Service-owned telemetry (metrics registry + round tracing; see
+  /// src/telemetry/). Observation-only by contract — released bytes are
+  /// byte-identical with it on or off — and deliberately NOT part of the
+  /// deployment fingerprint, so it may be toggled across restarts of the
+  /// same journaled deployment.
+  bool enable_telemetry = true;
+
+  /// Upper bound Validate accepts for ingest_shards.
+  static constexpr int kMaxIngestShards = 64;
+
+  /// The only check of these fields; every TrajectoryService factory runs it
+  /// before touching the filesystem. Defined with the service
+  /// (service/trajectory_service.cc), which owns the journal and checkpoint
+  /// option types it delegates to.
+  Status Validate() const;
+};
+
 /// \brief Uniform interface for all stream-release mechanisms (RetraSyn, its
 /// ablation variants, and the LDP-IDS baselines), so the evaluation harness
 /// and metrics treat them identically.
@@ -101,9 +178,18 @@ class StreamReleaseEngine {
   /// detaches). Observation-only: attached or not, the released bytes are
   /// identical. Default: engines expose nothing.
   virtual void AttachTelemetry(Telemetry* telemetry) { (void)telemetry; }
+
+  /// How many rounds after a stream's quit round the service may re-issue
+  /// its index to a new stream (IngestSessionOptions::reuse_window). An
+  /// engine that returns w > 0 must reset its own per-index state by the
+  /// same quit-round + w rule, as RetraSynEngine does. Default 0: indices
+  /// are never reused and grow with every stream ever started.
+  virtual int stream_index_reuse_window() const { return 0; }
 };
 
-struct RetraSynConfig {
+/// \brief The paper's mechanism parameters plus the engine's execution
+/// knobs; the inherited ServiceOptions fields configure the service around it.
+struct RetraSynConfig : ServiceOptions {
   double epsilon = 1.0;
   int window = 20;
   DivisionStrategy division = DivisionStrategy::kPopulation;
@@ -147,93 +233,13 @@ struct RetraSynConfig {
   /// When false, synthesis samples through legacy linear scans instead of the
   /// cached alias tables (A/B benchmarking; distributionally identical).
   bool use_sampler_cache = true;
-  /// Stream-index lifecycle over unbounded horizons. When true (default) the
-  /// service's IngestSession re-issues the index of a quitted stream once its
-  /// quit round has left the w-window — the last round the stream could
-  /// possibly have reported in — and the engine retires the matching dense
-  /// status/report-slot entries by the same rule, so per-user state is
-  /// bounded by the peak concurrent population plus one window of churn
-  /// instead of growing with every stream ever seen. Retirement is a
-  /// deterministic function of the sealed batch sequence alone (never of
-  /// closer timing or RNG), so Inline, Async, and journal replay all derive
-  /// byte-identical index assignments, and the released bytes are identical
-  /// with recycling on or off. false = legacy cumulative indices for A/B.
-  bool recycle_stream_indices = true;
-  /// Ingest shards: the service's IngestSession partitions users across this
-  /// many shards (hash of user id), each owning its slice of validation,
-  /// pending-event state, and — when journaling — its own journal segment
-  /// stream under journal_dir/shard-NNN. Shards admit events concurrently
-  /// (one producer thread per shard scales batch production across cores);
-  /// Tick() seals every shard in parallel and k-way-merges the sorted shard
-  /// batches into the same deterministic observation sequence a single shard
-  /// produces, so for a fixed shard count the released bytes are identical
-  /// to ingest_shards = 1. The shard count is part of the deployment
-  /// fingerprint: a journal written under N shards only replays under N.
-  /// Values above kMaxIngestShards are rejected by Validate.
-  int ingest_shards = 1;
-  /// When true (default) the session reuses its per-shard seal scratch and
-  /// recycles TimestampBatch observation buffers across rounds, so sealing
-  /// at steady state allocates nothing proportional to the population.
-  /// false = allocate fresh per round (A/B; byte-identical output).
-  bool reuse_seal_buffers = true;
-  /// kAsync moves the round-closing work off the ingest thread onto a
-  /// dedicated closer worker per service (the parallel synthesis inside still
-  /// uses thread_pool/num_threads). For a fixed (seed, num_threads) the
-  /// release sequence and snapshots are byte-identical to kInline; only the
-  /// thread that produces them changes. Requires TrajectoryService::Drain()
-  /// before SnapshotRelease(). Ignored by bare RetraSynEngine users — the
-  /// service layer owns the queue.
-  SyncPolicy sync_policy = SyncPolicy::kInline;
-  /// Bounded depth of the async round queue (sealed batches waiting for the
-  /// closer). The TrajectoryService factories require >= 1
-  /// (ServiceOptions::Validate). Ignored under kInline and by bare engines.
-  int round_queue_capacity = 8;
-  /// Tick() behavior when the async round queue is full.
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Directory of the durable event journal (write-ahead log of every
-  /// accepted Enter/Move/Quit/Tick). Empty disables journaling. Non-empty:
-  /// TrajectoryService::Create requires the directory to hold no existing
-  /// journal (fresh deployment); TrajectoryService::Recover replays an
-  /// existing one and continues appending. Ignored by bare engines — the
-  /// service layer owns the journal. See docs/durability.md.
-  std::string journal_dir;
-  /// When the journal fsyncs. kEveryRound (default) makes every closed round
-  /// crash-durable; kNever trusts the OS; kEveryRecord hardens every event.
-  FsyncPolicy journal_fsync = FsyncPolicy::kEveryRound;
-  /// Journal segment rotation threshold in bytes.
-  int64_t journal_segment_bytes = 64 << 20;
-  /// Write a full service checkpoint every N closed rounds (0 = off).
-  /// Requires journal_dir and checkpoint_dir. Recovery then loads the newest
-  /// checkpoint and replays only the journal suffix behind it — O(window)
-  /// instead of O(horizon) — and compaction retires journal segments older
-  /// than the oldest retained checkpoint minus the w-window. Deliberately
-  /// NOT part of the deployment fingerprint: cadence and retention may
-  /// change across restarts. See docs/durability.md.
-  int64_t checkpoint_every_rounds = 0;
-  /// Directory for checkpoint and history spill files.
-  std::string checkpoint_dir;
-  /// Newest checkpoints kept on disk (>= 1; default 2, so one corrupted
-  /// checkpoint still leaves a bounded-replay recovery path).
-  int checkpoint_retain = 2;
-  /// Move closed synthetic streams into history spill files at every
-  /// checkpoint, keeping steady-state memory flat over unbounded horizons;
-  /// SnapshotRelease reads them back on demand.
-  bool checkpoint_spill_history = true;
-  /// Service-owned telemetry (metrics registry + round tracing; see
-  /// src/telemetry/). Observation-only by contract — released bytes are
-  /// byte-identical with it on or off — and deliberately NOT part of the
-  /// deployment fingerprint, so it may be toggled across restarts of the
-  /// same journaled deployment. Ignored by bare engines.
-  bool enable_telemetry = true;
 
   /// Upper bound Validate accepts for num_threads.
   static constexpr int kMaxThreads = 256;
-  /// Upper bound Validate accepts for ingest_shards.
-  static constexpr int kMaxIngestShards = 64;
-
-  /// Rejects nonsensical configurations with a descriptive error instead of
-  /// crashing the process. TrajectoryService::Create and the engine
-  /// constructor both route through this.
+  /// Rejects nonsensical engine configurations with a descriptive error
+  /// instead of crashing the process. TrajectoryService::Create and the
+  /// engine constructor both route through this; the inherited service
+  /// fields are checked by ServiceOptions::Validate alone.
   Status Validate() const;
 };
 
@@ -315,6 +321,17 @@ class RetraSynEngine : public StreamReleaseEngine {
   /// forwards to the synthesizer (step latency, points, live streams,
   /// sampler-cache rebuilds).
   void AttachTelemetry(Telemetry* telemetry) override;
+  /// The w-window: a quitted stream's last possible report is its quit round,
+  /// so once that round leaves the window the index's whole contribution has
+  /// left it too. The engine retires the index's dense status/report-slot
+  /// entries by exactly this rule (RetireQuitted), so per-user state is
+  /// bounded by the peak concurrent population plus one window of churn
+  /// instead of growing with every stream ever seen. Retirement is a
+  /// deterministic function of the sealed batch sequence alone (never of
+  /// closer timing or RNG), so Inline, Async, and journal replay all derive
+  /// byte-identical index assignments, and the released bytes equal those
+  /// of a cumulative assignment.
+  int stream_index_reuse_window() const override { return config_.window; }
 
   const RetraSynConfig& config() const { return config_; }
   const GlobalMobilityModel& model() const { return model_; }
@@ -333,12 +350,11 @@ class RetraSynEngine : public StreamReleaseEngine {
 
   /// Stream indices retired at the start of the last Observe(): their stream
   /// quit >= window rounds before that batch, so the dense slots were reset
-  /// and the index may carry a new stream from that batch on. Empty unless
-  /// recycle_stream_indices is on (population division — budget division
-  /// keeps no per-user state). The service copies this into the round's
-  /// RoundRelease, so the retired flow rides the round-handler path: under
-  /// SyncPolicy::kAsync it is produced and consumed on the closer worker,
-  /// never racing the ingest thread.
+  /// and the index may carry a new stream from that batch on. Empty under
+  /// budget division, which keeps no per-user state. The service copies this
+  /// into the round's RoundRelease, so the retired flow rides the
+  /// round-handler path: under SyncPolicy::kAsync it is produced and
+  /// consumed on the closer worker, never racing the ingest thread.
   const std::vector<uint32_t>& retired_last_round() const {
     return retired_last_round_;
   }
@@ -377,8 +393,7 @@ class RetraSynEngine : public StreamReleaseEngine {
 
   /// Resets the dense slots of indices whose stream quit at or before
   /// t - window (their last possible report has left the w-window), making
-  /// them safe for the session to re-issue. No-op under
-  /// recycle_stream_indices = false.
+  /// them safe for the session to re-issue.
   void RetireQuitted(int64_t t);
 
   /// Registers arrivals, recycles users whose report left the window, and
@@ -414,8 +429,7 @@ class RetraSynEngine : public StreamReleaseEngine {
   std::vector<int64_t> report_slot_;  ///< kRandom only; kNoSlot = unscheduled
   std::deque<std::pair<int64_t, std::vector<uint32_t>>> reported_at_;
   /// Indices whose stream quit, bucketed by quit round; a bucket retires
-  /// once its round leaves the w-window. Empty under
-  /// recycle_stream_indices = false. An index sits in at most one bucket:
+  /// once its round leaves the w-window. An index sits in at most one bucket:
   /// it can only quit again after being re-issued, which happens strictly
   /// after its previous bucket retired.
   std::deque<std::pair<int64_t, std::vector<uint32_t>>> quitted_at_;

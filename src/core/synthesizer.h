@@ -40,9 +40,9 @@
 // The live set is index-agnostic by design: synthetic streams are anonymous
 // (identified only by position in live_), never keyed by the real stream
 // indices the engine observes. Stream-index recycling
-// (RetraSynConfig::recycle_stream_indices) therefore cannot alias a new
-// real stream onto an old synthetic one — only the per-round active *count*
-// crosses from collection into synthesis.
+// (StreamReleaseEngine::stream_index_reuse_window) therefore cannot alias a
+// new real stream onto an old synthetic one — only the per-round active
+// *count* crosses from collection into synthesis.
 
 #ifndef RETRASYN_CORE_SYNTHESIZER_H_
 #define RETRASYN_CORE_SYNTHESIZER_H_

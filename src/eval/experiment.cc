@@ -61,17 +61,17 @@ MetricsReport EvaluateMetrics(const PreparedDataset& dataset,
 }
 
 RunResult RunEngine(const PreparedDataset& dataset,
-                    StreamReleaseEngine& engine,
+                    std::unique_ptr<StreamReleaseEngine> engine,
                     const StreamingMetricsConfig& metrics_config,
                     uint64_t metrics_seed) {
   RunResult result;
-  result.engine_name = engine.name();
+  result.engine_name = engine->name();
 
-  auto service = TrajectoryService::Attach(dataset.states(), &engine);
-  service.status().CheckOK();
+  auto service = TrajectoryService::Create(dataset.states(), std::move(engine))
+                     .ValueOrDie();
 
   Stopwatch watch;
-  ReplayDatabase(dataset.db(), *service.value()).CheckOK();
+  ReplayDatabase(dataset.db(), *service).CheckOK();
   result.engine_seconds = watch.ElapsedSeconds();
   result.seconds_per_timestamp =
       dataset.horizon() > 0
@@ -79,15 +79,16 @@ RunResult RunEngine(const PreparedDataset& dataset,
           : 0.0;
 
   const CellStreamSet synthetic =
-      service.value()->SnapshotRelease(dataset.horizon()).ValueOrDie();
+      service->SnapshotRelease(dataset.horizon()).ValueOrDie();
   result.metrics =
       EvaluateMetrics(dataset, synthetic, metrics_config, metrics_seed);
 
-  if (auto* retra = dynamic_cast<RetraSynEngine*>(&engine)) {
+  const StreamReleaseEngine& ran = service->engine();
+  if (const auto* retra = dynamic_cast<const RetraSynEngine*>(&ran)) {
     result.total_reports = retra->total_reports();
     result.max_window_budget = retra->budget_ledger().MaxWindowSpend();
     result.report_window_violation = retra->report_tracker().HasViolation();
-  } else if (auto* ids = dynamic_cast<LdpIdsEngine*>(&engine)) {
+  } else if (const auto* ids = dynamic_cast<const LdpIdsEngine*>(&ran)) {
     result.max_window_budget = ids->budget_ledger().MaxWindowSpend();
     result.report_window_violation = ids->report_tracker().HasViolation();
   }

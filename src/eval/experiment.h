@@ -69,7 +69,7 @@ struct RunResult {
   MetricsReport metrics;
   /// Total wall-clock of the streaming run: the engine's Observe work plus
   /// the ingestion-session overhead of the service replay (the deployed
-  /// path). Per-component engine times remain in engine.component_times().
+  /// path).
   double engine_seconds = 0.0;
   double seconds_per_timestamp = 0.0;
   uint64_t total_reports = 0;
@@ -79,11 +79,12 @@ struct RunResult {
 
 /// \brief Streams the dataset through \p engine via the streaming service
 /// layer (TrajectoryService + ReplayDatabase; bit-identical to the legacy
-/// precomputed-batch loop), then evaluates all metrics. The same
-/// \p metrics_seed must be reused across engines under comparison so they
-/// face identical random queries/ranges.
+/// precomputed-batch loop), then evaluates all metrics and reads the
+/// engine's privacy audit into the result. The same \p metrics_seed must be
+/// reused across engines under comparison so they face identical random
+/// queries/ranges.
 RunResult RunEngine(const PreparedDataset& dataset,
-                    StreamReleaseEngine& engine,
+                    std::unique_ptr<StreamReleaseEngine> engine,
                     const StreamingMetricsConfig& metrics_config,
                     uint64_t metrics_seed);
 

@@ -45,10 +45,10 @@ IngestSession::IngestSession(const StateSpace& states, RoundHandler handler,
       options_(options) {
   RETRASYN_CHECK(handler_ != nullptr);
   // Service-layer callers validate first (ServiceOptions::Validate) and
-  // surface a Status; reaching here with a window-less recycling config or a
+  // surface a Status; reaching here with a negative reuse window or a
   // nonsensical shard count is a programming bug.
-  RETRASYN_CHECK_MSG(!options_.recycle_stream_indices || options_.window >= 1,
-                     "recycling requires a w-window of at least 1");
+  RETRASYN_CHECK_MSG(options_.reuse_window >= 0,
+                     "the index reuse window must not be negative");
   RETRASYN_CHECK_MSG(options_.num_shards >= 1,
                      "an ingest session needs at least one shard");
   shards_.reserve(static_cast<size_t>(options_.num_shards));
@@ -376,7 +376,6 @@ IngestStats IngestSession::stats() const {
 }
 
 void IngestSession::RecycleBatch(TimestampBatch&& batch) {
-  if (!options_.reuse_seal_buffers) return;
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.size() >= kMaxPooledObservationBuffers) return;
   batch.observations.clear();
@@ -386,7 +385,6 @@ void IngestSession::RecycleBatch(TimestampBatch&& batch) {
 std::vector<UserObservation> IngestSession::AcquireObservationBuffer(
     bool* reused) {
   *reused = false;
-  if (!options_.reuse_seal_buffers) return {};
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.empty()) return {};
   std::vector<UserObservation> buffer = std::move(obs_pool_.back());
@@ -462,10 +460,10 @@ Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
         "corrupt checkpoint: stream-index high-water mark " +
         std::to_string(state.next_stream_index) + " exceeds the cap");
   }
-  if (!options_.recycle_stream_indices &&
+  if (options_.reuse_window == 0 &&
       (!state.quitted_at.empty() || !state.free_indices.empty())) {
     return Status::InvalidArgument(
-        "checkpoint carries index-recycling state but recycling is disabled");
+        "checkpoint carries index-recycling state but index reuse is off");
   }
   // Every index must sit below the high-water mark and live in at most one
   // place (a live stream, a retiring bucket, or the free list).
@@ -573,9 +571,6 @@ void IngestSession::CommitShard(Shard& shard) {
       shard.active[e.user] = ActiveStream{e.stream_index, e.cell};
     }
   }
-  if (!options_.reuse_seal_buffers) {
-    std::vector<SealedEntry>().swap(shard.entries);
-  }
   shard.pending.clear();
   shard.num_pending_enters = 0;
   shard.num_pending_events = 0;
@@ -654,7 +649,7 @@ Status IngestSession::Tick() {
   size_t retiring_count = 0;
   while (retiring_buckets < quitted_at_.size() &&
          quitted_at_[retiring_buckets].first <=
-             open_round_ - options_.window) {
+             open_round_ - options_.reuse_window) {
     retiring_count += quitted_at_[retiring_buckets].second.size();
     ++retiring_buckets;
   }
@@ -724,9 +719,7 @@ Status IngestSession::Tick() {
       obs.user_index = e.stream_index;
       obs.state = e.state;
       obs.is_quit = true;
-      if (options_.recycle_stream_indices) {
-        quit_indices.push_back(e.stream_index);
-      }
+      if (options_.reuse_window > 0) quit_indices.push_back(e.stream_index);
     } else if (e.is_enter) {
       e.stream_index = next_stream();  // committed to the shard on success
       obs.user_index = e.stream_index;
@@ -787,7 +780,7 @@ Status IngestSession::Tick() {
   }
   Stopwatch commit_watch;
   next_stream_index_ = next_index;
-  if (options_.recycle_stream_indices) {
+  if (options_.reuse_window > 0) {
     // Commit the index lifecycle exactly as the cursors consumed it: drop
     // the used prefix of the free list, retire the peeked buckets (their
     // unconsumed suffix joins the free list), and bucket this round's quits

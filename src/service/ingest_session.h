@@ -42,7 +42,7 @@
 // Stream-index lifecycle: each new stream needs an engine-facing index, and
 // over an unbounded horizon a cumulative counter leaks — the engine's dense
 // per-index state grows with the highest index ever minted, even at constant
-// live population. With IngestSessionOptions::recycle_stream_indices the
+// live population. With IngestSessionOptions::reuse_window = w > 0 the
 // session instead retires an index once its stream's quit round has left the
 // w-window (the last round the stream could have reported in) and re-issues
 // retired indices, oldest first, before minting fresh ones. Retirement is a
@@ -77,23 +77,19 @@
 namespace retrasyn {
 
 /// \brief Index-lifecycle and sharding knobs for an IngestSession. The
-/// service layer derives these from RetraSynConfig (recycle_stream_indices +
-/// window + ingest_shards); the session's consumer — the engine behind the
-/// round handler — must apply the same retirement rule to its dense
-/// per-index state (RetraSynEngine does; see
-/// RetraSynEngine::retired_last_round()).
+/// service layer derives these from its engine
+/// (StreamReleaseEngine::stream_index_reuse_window) and ServiceOptions
+/// (ingest_shards); the session's consumer — the engine behind the round
+/// handler — must apply the same retirement rule to its dense per-index
+/// state (RetraSynEngine does; see RetraSynEngine::retired_last_round()).
 struct IngestSessionOptions {
-  /// Re-issue the index of a quitted stream once its quit round has left the
-  /// w-window, instead of growing the cumulative counter forever.
-  bool recycle_stream_indices = false;
-  /// The w-event window governing retirement; must be >= 1 when recycling.
-  int window = 0;
+  /// Re-issue the index of a quitted stream once its quit round has left
+  /// this many rounds (the w-event window), instead of growing the
+  /// cumulative counter forever. 0 never reuses an index.
+  int reuse_window = 0;
   /// User shards (>= 1). Events route to shard ShardOf(user, num_shards);
   /// each shard has its own mutex, state slice, and journal stream.
   int num_shards = 1;
-  /// Reuse per-shard seal scratch and recycle observation buffers across
-  /// rounds (see RecycleBatch); false allocates fresh each round (A/B).
-  bool reuse_seal_buffers = true;
   /// Service-owned telemetry bundle (not owned; may be null). When attached,
   /// ingest counters register in its registry, Tick() phases land in its
   /// RoundTrace, and boundary poisonings record a first-failure. When null
@@ -237,8 +233,7 @@ class IngestSession {
   IngestStats stats() const;
 
   /// Returns a consumed batch's observation buffer to the seal pool so the
-  /// next round seals into it instead of allocating
-  /// (IngestSessionOptions::reuse_seal_buffers; no-op otherwise). Called by
+  /// next round seals into it instead of allocating. Called by
   /// the service after the engine observed the batch — from the closer
   /// worker under SyncPolicy::kAsync, so it is thread-safe.
   void RecycleBatch(TimestampBatch&& batch);
@@ -325,7 +320,7 @@ class IngestSession {
     /// internally where it is shared (TakeSealedSegments / presync).
     JournalWriter* journal GUARDED_BY(mu) = nullptr;
     /// Seal scratch, sorted by (user, phase) each round; reused across
-    /// rounds under reuse_seal_buffers.
+    /// rounds.
     std::vector<SealedEntry> entries GUARDED_BY(mu);
     /// Registry-backed counters (stable pointers into registry_; set once in
     /// the constructor). IngestStats reads these — one source of truth.
@@ -383,8 +378,8 @@ class IngestSession {
   /// steady state.
   void CommitShard(Shard& shard) REQUIRES(shard.mu);
 
-  /// Pops a recycled observation buffer (reuse_seal_buffers) or returns a
-  /// fresh one. \p reused reports which.
+  /// Pops a recycled observation buffer or returns a fresh one. \p reused
+  /// reports which.
   std::vector<UserObservation> AcquireObservationBuffer(bool* reused);
 
   /// Registers the session's metrics (called once from the constructor).
@@ -419,7 +414,7 @@ class IngestSession {
   std::atomic<bool> boundary_poisoned_{false};
   Status poison_status_;
 
-  // Recycled observation buffers (reuse_seal_buffers): consumed batches come
+  // Recycled observation buffers: consumed batches come
   // back through RecycleBatch — possibly from the async closer worker —
   // and the next Tick seals into one instead of allocating.
   mutable Mutex obs_pool_mu_;
@@ -444,7 +439,7 @@ class IngestSession {
   /// phase. Only touched when trace_ is attached.
   std::atomic<int64_t> round_admit_start_ns_{0};
 
-  // Index lifecycle (recycle_stream_indices only; both containers stay empty
+  // Index lifecycle (reuse_window > 0 only; both containers stay empty
   // otherwise). Global across shards — indices are assigned on the merged
   // batch sequence. An index lives in at most one place: a quitted_at_
   // bucket while its quit round is inside the w-window, then free_indices_

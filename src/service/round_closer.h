@@ -13,12 +13,12 @@
 // makes from the ingest thread — so for a fixed (seed, num_threads) the
 // release sequence is byte-identical to Inline.
 //
-// Stream-index retirement (RetraSynConfig::recycle_stream_indices) rides
-// this pipeline: the engine retires quitted indices inside the close step —
-// on the closer worker under kAsync — and the resulting RoundRelease carries
-// them to sinks in round order. The ingest thread never reads that state; it
-// derives the identical retirement independently from the batch sequence
-// (IngestSession), which is what keeps Inline and Async assignments
+// Stream-index retirement (StreamReleaseEngine::stream_index_reuse_window)
+// rides this pipeline: the engine retires quitted indices inside the close
+// step — on the closer worker under kAsync — and the resulting RoundRelease
+// carries them to sinks in round order. The ingest thread never reads that
+// state; it derives the identical retirement independently from the batch
+// sequence (IngestSession), which is what keeps Inline and Async assignments
 // byte-identical even though the closer lags the ingest thread.
 //
 // Failure: the first non-OK status from either callback poisons the

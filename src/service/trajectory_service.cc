@@ -58,9 +58,10 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   HashMixU64(config.seed, &h);
   HashMixU64(static_cast<uint64_t>(config.num_threads), &h);
   HashMixU64(config.use_sampler_cache ? 1 : 0, &h);
-  // Recycling changes which stream indices replayed enters resolve to, so a
-  // journal must never be replayed under the other setting.
-  HashMixU64(config.recycle_stream_indices ? 1 : 0, &h);
+  // Stream-index reuse is always on for RetraSyn deployments. The constant
+  // stands where an on/off flag was once hashed, so journals written with
+  // reuse on still recover and journals written with it off are refused.
+  HashMixU64(1, &h);
   // The shard count fixes the journal layout (which shard stream holds
   // which user's events); replay under a different count would read the
   // wrong streams, so it is refused by fingerprint.
@@ -68,9 +69,8 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   return h;
 }
 
-/// Custom engines (CreateWithEngine/Attach) have no RetraSynConfig; bind
-/// the journal to the state space, the engine's self-reported identity, and
-/// the shard layout.
+/// Caller-supplied engines have no RetraSynConfig; bind the journal to the
+/// state space, the engine's self-reported identity, and the shard layout.
 uint64_t DeploymentFingerprint(const StateSpace& states,
                                const std::string& engine_name,
                                int ingest_shards) {
@@ -81,6 +81,17 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   HashMix(engine_name.data(), engine_name.size(), &h);
   HashMixU64(static_cast<uint64_t>(ingest_shards), &h);
   return h;
+}
+
+/// The deployment fingerprint of a Create/Recover call: the config hash for
+/// a service built from a RetraSynConfig (\p config non-null), the
+/// engine-name hash for a caller-supplied engine.
+uint64_t FingerprintFor(const StateSpace& states,
+                        const StreamReleaseEngine& engine,
+                        const ServiceOptions& options,
+                        const RetraSynConfig* config) {
+  if (config != nullptr) return DeploymentFingerprint(states, *config);
+  return DeploymentFingerprint(states, engine.name(), options.ingest_shards);
 }
 
 /// The physical journal directories for \p options: the configured dir
@@ -154,6 +165,15 @@ Status CheckJournalLayout(const std::string& root, int ingest_shards) {
   return Status::OK();
 }
 
+JournalOptions JournalOptionsFor(const ServiceOptions& options,
+                                 uint64_t fingerprint) {
+  JournalOptions journal;
+  journal.fsync = options.journal_fsync;
+  journal.segment_bytes = options.journal_segment_bytes;
+  journal.fingerprint = fingerprint;
+  return journal;
+}
+
 /// Opens the journal writers for \p options when journaling is enabled —
 /// one per ingest shard; an empty vector (OK) when it is not.
 /// \p require_fresh rejects a directory that already holds any journal,
@@ -195,8 +215,7 @@ Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
   // A sharded layout nests one journal directory per shard under the root;
   // the root itself must exist before the per-shard opens create theirs.
   RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
-  JournalOptions journal = options.journal;
-  journal.fingerprint = fingerprint;
+  const JournalOptions journal = JournalOptionsFor(options, fingerprint);
   for (const std::string& dir : JournalDirsFor(options)) {
     auto writer = JournalWriter::Open(dir, journal);
     if (!writer.ok()) return writer.status();
@@ -206,12 +225,14 @@ Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
 }
 
 /// The checkpoint subsystem's options from the service's: the same
-/// fingerprint the journal stamps, retirement window = the w-event window.
-/// The cadence/retention knobs are deliberately NOT fingerprinted — they may
+/// fingerprint the journal stamps, retirement window = the engine's
+/// stream-index reuse window (the w-event window for RetraSyn). The
+/// cadence/retention knobs are deliberately NOT fingerprinted — they may
 /// change across restarts without invalidating durable state.
 CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
                                        uint64_t fingerprint,
-                                       std::string grid_describe) {
+                                       std::string grid_describe,
+                                       int window) {
   CheckpointOptions checkpoint;
   checkpoint.dir = options.checkpoint_dir;
   checkpoint.every_rounds = options.checkpoint_every_rounds;
@@ -219,15 +240,21 @@ CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
   checkpoint.spill_history = options.checkpoint_spill_history;
   checkpoint.fingerprint = fingerprint;
   checkpoint.grid_describe = std::move(grid_describe);
-  checkpoint.window = options.recycle_window;
+  checkpoint.window = window;
   checkpoint.journal_dirs = JournalDirsFor(options);
   return checkpoint;
 }
 
+/// Every argument check of the factories. Runs before the first
+/// filesystem call, so a refused Create/Recover leaves the tree untouched.
 /// Checkpointing serializes the engine's dense state, which only a
 /// RetraSynEngine can do; a custom engine must keep the full-replay model.
-Status CheckCheckpointable(const ServiceOptions& options,
-                           const StreamReleaseEngine* engine) {
+Status CheckOpenArgs(const StreamReleaseEngine* engine,
+                     const ServiceOptions& options) {
+  if (engine == nullptr) {
+    return Status::InvalidArgument("engine must not be null");
+  }
+  RETRASYN_RETURN_NOT_OK(options.Validate());
   if (options.checkpoint_every_rounds > 0 &&
       dynamic_cast<const RetraSynEngine*>(engine) == nullptr) {
     return Status::InvalidArgument(
@@ -243,28 +270,28 @@ Status CheckCheckpointable(const ServiceOptions& options,
 /// behind.
 Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
     const ServiceOptions& options, const StateSpace& states,
-    uint64_t fingerprint, bool require_fresh) {
+    const StreamReleaseEngine& engine, uint64_t fingerprint,
+    bool require_fresh) {
   if (options.checkpoint_every_rounds <= 0) {
     return std::unique_ptr<CheckpointManager>();
   }
   return CheckpointManager::Open(
-      CheckpointOptionsFor(options, fingerprint, states.grid().Describe()),
+      CheckpointOptionsFor(options, fingerprint, states.grid().Describe(),
+                           engine.stream_index_reuse_window()),
       require_fresh);
 }
 
 }  // namespace
 
 TrajectoryService::TrajectoryService(
-    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-    StreamReleaseEngine* engine, const ServiceOptions& options,
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+    const ServiceOptions& options,
     std::vector<std::unique_ptr<JournalWriter>> journals,
     bool defer_async_closer)
     : states_(&states),
-      owned_engine_(std::move(owned)),
-      engine_(engine),
+      engine_(std::move(engine)),
       journals_(std::move(journals)) {
-  retrasyn_ = dynamic_cast<const RetraSynEngine*>(engine_);
-  retrasyn_mutable_ = dynamic_cast<RetraSynEngine*>(engine_);
+  retrasyn_ = dynamic_cast<RetraSynEngine*>(engine_.get());
   if (options.enable_telemetry) {
     telemetry_ = std::make_unique<Telemetry>();
     MetricsRegistry& registry = telemetry_->registry();
@@ -281,10 +308,8 @@ TrajectoryService::TrajectoryService(
     }
   }
   IngestSessionOptions session_options;
-  session_options.recycle_stream_indices = options.recycle_stream_indices;
-  session_options.window = options.recycle_window;
+  session_options.reuse_window = engine_->stream_index_reuse_window();
   session_options.num_shards = options.ingest_shards;
-  session_options.reuse_seal_buffers = options.reuse_seal_buffers;
   session_options.telemetry = telemetry_.get();
   session_ = std::make_unique<IngestSession>(
       states, [this](TimestampBatch batch) { return OnRound(std::move(batch)); },
@@ -331,46 +356,19 @@ TrajectoryService::~TrajectoryService() {
   checkpoint_.reset();
 }
 
-ServiceOptions ServiceOptions::FromConfig(const RetraSynConfig& config) {
-  ServiceOptions options;
-  options.sync_policy = config.sync_policy;
-  options.round_queue_capacity = config.round_queue_capacity;
-  options.backpressure = config.backpressure;
-  options.ingest_shards = config.ingest_shards;
-  options.reuse_seal_buffers = config.reuse_seal_buffers;
-  options.journal_dir = config.journal_dir;
-  options.journal.fsync = config.journal_fsync;
-  options.journal.segment_bytes = config.journal_segment_bytes;
-  options.recycle_stream_indices = config.recycle_stream_indices;
-  options.recycle_window = config.window;
-  options.checkpoint_every_rounds = config.checkpoint_every_rounds;
-  options.checkpoint_dir = config.checkpoint_dir;
-  options.checkpoint_retain = config.checkpoint_retain;
-  options.checkpoint_spill_history = config.checkpoint_spill_history;
-  options.enable_telemetry = config.enable_telemetry;
-  return options;
-}
-
 Status ServiceOptions::Validate() const {
   if (round_queue_capacity < 1) {
     return Status::InvalidArgument(
         "round_queue_capacity must be >= 1 sealed batch, got " +
         std::to_string(round_queue_capacity));
   }
-  if (ingest_shards < 1 || ingest_shards > RetraSynConfig::kMaxIngestShards) {
+  if (ingest_shards < 1 || ingest_shards > kMaxIngestShards) {
     return Status::InvalidArgument(
-        "ingest_shards must be in [1, " +
-        std::to_string(RetraSynConfig::kMaxIngestShards) + "], got " +
-        std::to_string(ingest_shards));
+        "ingest_shards must be in [1, " + std::to_string(kMaxIngestShards) +
+        "], got " + std::to_string(ingest_shards));
   }
   if (!journal_dir.empty()) {
-    RETRASYN_RETURN_NOT_OK(journal.Validate());
-  }
-  if (recycle_stream_indices && recycle_window < 1) {
-    return Status::InvalidArgument(
-        "recycle_stream_indices requires recycle_window >= 1 (the w-event "
-        "window governing when a quitted stream's index retires), got " +
-        std::to_string(recycle_window));
+    RETRASYN_RETURN_NOT_OK(JournalOptionsFor(*this, 0).Validate());
   }
   if (checkpoint_every_rounds < 0) {
     return Status::InvalidArgument(
@@ -384,7 +382,7 @@ Status ServiceOptions::Validate() const {
           "checkpointing requires a journal (journal_dir): a checkpoint only "
           "bridges recovery to the journal suffix behind it");
     }
-    RETRASYN_RETURN_NOT_OK(CheckpointOptionsFor(*this, 0, "").Validate());
+    RETRASYN_RETURN_NOT_OK(CheckpointOptionsFor(*this, 0, "", 0).Validate());
   }
   return Status::OK();
 }
@@ -392,128 +390,60 @@ Status ServiceOptions::Validate() const {
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  const ServiceOptions options = ServiceOptions::FromConfig(config);
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  const uint64_t fingerprint = DeploymentFingerprint(states, config);
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/true);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
-  if (!journals.ok()) return journals.status();
-  auto engine = std::make_unique<RetraSynEngine>(states, config);
-  StreamReleaseEngine* raw = engine.get();
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(engine), raw, options,
-                            std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
-  return service;
+  return OpenFresh(states, std::make_unique<RetraSynEngine>(states, config),
+                   config, &config);
 }
 
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::CreateWithEngine(
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine.get()));
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, engine->name(), options.ingest_shards);
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/true);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
-  if (!journals.ok()) return journals.status();
-  StreamReleaseEngine* raw = engine.get();
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(engine), raw, options,
-                            std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
-  return service;
-}
-
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Attach(
-    const StateSpace& states, StreamReleaseEngine* engine,
-    const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  RETRASYN_RETURN_NOT_OK(options.Validate());
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine));
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, engine->name(), options.ingest_shards);
-  auto checkpoint =
-      MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/true);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
-  if (!journals.ok()) return journals.status();
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, nullptr, engine, options,
-                            std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
-  return service;
+  return OpenFresh(states, std::move(engine), options, nullptr);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  if (config.journal_dir.empty()) {
-    return Status::InvalidArgument(
-        "Recover requires RetraSynConfig::journal_dir");
-  }
-  const ServiceOptions options = ServiceOptions::FromConfig(config);
-  auto engine = std::make_unique<RetraSynEngine>(states, config);
-  StreamReleaseEngine* raw = engine.get();
-  return RecoverImpl(states, std::move(engine), raw, options,
-                     DeploymentFingerprint(states, config));
+  return RecoverImpl(states, std::make_unique<RetraSynEngine>(states, config),
+                     config, &config);
 }
 
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverWithEngine(
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  StreamReleaseEngine* raw = engine.get();
-  const uint64_t fingerprint =
-      DeploymentFingerprint(states, raw->name(), options.ingest_shards);
-  return RecoverImpl(states, std::move(engine), raw, options, fingerprint);
+  return RecoverImpl(states, std::move(engine), options, nullptr);
 }
 
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverAttached(
-    const StateSpace& states, StreamReleaseEngine* engine,
-    const ServiceOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::OpenFresh(
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+    const ServiceOptions& options, const RetraSynConfig* config) {
+  RETRASYN_RETURN_NOT_OK(CheckOpenArgs(engine.get(), options));
+  const uint64_t fingerprint = FingerprintFor(states, *engine, options, config);
+  auto checkpoint = MaybeOpenCheckpoints(options, states, *engine, fingerprint,
+                                         /*require_fresh=*/true);
+  if (!checkpoint.ok()) return checkpoint.status();
+  auto journals =
+      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
+  if (!journals.ok()) return journals.status();
+  std::unique_ptr<TrajectoryService> service(new TrajectoryService(
+      states, std::move(engine), options, std::move(journals).value()));
+  if (checkpoint.value() != nullptr) {
+    service->checkpoint_ = std::move(checkpoint).value();
+    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
+    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
   }
-  return RecoverImpl(states, nullptr, engine, options,
-                     DeploymentFingerprint(states, engine->name(),
-                                           options.ingest_shards));
+  return service;
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
-    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-    StreamReleaseEngine* engine, const ServiceOptions& options,
-    uint64_t fingerprint) {
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+    const ServiceOptions& options, const RetraSynConfig* config) {
+  // Every argument check comes first: a refused Recover must not create,
+  // truncate or repair anything.
+  RETRASYN_RETURN_NOT_OK(CheckOpenArgs(engine.get(), options));
   if (options.journal_dir.empty()) {
     return Status::InvalidArgument("Recover requires a journal_dir");
   }
-  RETRASYN_RETURN_NOT_OK(options.Validate());
+  const uint64_t fingerprint = FingerprintFor(states, *engine, options, config);
 
   // Refuse a layout that contradicts the configured shard count before a
   // single record is read.
@@ -626,7 +556,6 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // Load the newest usable checkpoint (checkpointing configured only). A
   // structurally valid checkpoint under the wrong fingerprint fails loudly
   // here — never a silent fall-through to full replay.
-  RETRASYN_RETURN_NOT_OK(CheckCheckpointable(options, engine));
   CheckpointState ckpt;
   bool have_checkpoint = false;
   std::vector<int64_t> surviving;
@@ -678,12 +607,12 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // checkpoint, restore its state first and replay only the journal suffix
   // behind its round.
   std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(owned), engine, options,
+      new TrajectoryService(states, std::move(engine), options,
                             /*journals=*/{}, /*defer_async_closer=*/true));
   int64_t resume_round = max_base;
   if (have_checkpoint) {
     resume_round = ckpt.round;
-    RETRASYN_RETURN_NOT_OK(service->retrasyn_mutable_->RestoreCheckpointState(
+    RETRASYN_RETURN_NOT_OK(service->retrasyn_->RestoreCheckpointState(
         std::move(ckpt.engine)));
     RETRASYN_RETURN_NOT_OK(
         service->session_->RestoreCheckpointState(std::move(ckpt.session)));
@@ -695,8 +624,8 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // adopt the held locks and continue in fresh segments after the replayed
   // ones (their round accounting continues from the replayed total).
   if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
-  JournalOptions journal_options = options.journal;
-  journal_options.fingerprint = fingerprint;
+  const JournalOptions journal_options =
+      JournalOptionsFor(options, fingerprint);
   for (size_t s = 0; s < dirs.size(); ++s) {
     if (!existed[s]) {
       // Deferred until every validation passed: a refused Recover must not
@@ -730,8 +659,8 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
   // the surviving checkpoints, and the scanned segments (its future
   // retirement candidates, per shard journal).
   if (options.checkpoint_every_rounds > 0) {
-    auto manager =
-        MaybeOpenCheckpoints(options, states, fingerprint, /*require_fresh=*/false);
+    auto manager = MaybeOpenCheckpoints(options, states, *service->engine_,
+                                        fingerprint, /*require_fresh=*/false);
     if (!manager.ok()) return manager.status();
     service->checkpoint_ = std::move(manager).value();
     service->checkpoint_->AttachJournals(RawJournals(service->journals_));
@@ -894,10 +823,10 @@ Result<RoundRelease> TrajectoryService::CloseRound(const TimestampBatch& batch) 
     // stream the spill registry now owns.
     std::vector<CellStream> spilled;
     if (checkpoint_->options().spill_history) {
-      spilled = retrasyn_mutable_->TakeFinishedStreams();
+      spilled = retrasyn_->TakeFinishedStreams();
     }
     checkpoint_->OnRoundClosed(batch.t,
-                               retrasyn_mutable_->SaveCheckpointState(),
+                               retrasyn_->SaveCheckpointState(),
                                std::move(spilled));
   }
   bool have_sinks;

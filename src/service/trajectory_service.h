@@ -14,7 +14,7 @@
 // the evolving synthetic database at any time. Fully materialized
 // StreamDatabases replay through the same path via ReplayDatabase (replay.h).
 //
-// Round closing runs under one of two policies (RetraSynConfig::sync_policy):
+// Round closing runs under one of two policies (ServiceOptions::sync_policy):
 //
 //   SyncPolicy::kInline — Tick() runs collection + model update + synthesis
 //     + sink delivery on the calling thread. A handler/sink failure fails
@@ -26,7 +26,7 @@
 //     before SnapshotRelease(). Failures surface on the next Tick()/Drain().
 //     For a fixed (seed, num_threads) the released bytes equal kInline's.
 //
-// Durability (optional, RetraSynConfig::journal_dir): every accepted event
+// Durability (optional, ServiceOptions::journal_dir): every accepted event
 // is appended to a segmented write-ahead journal before the session commits
 // it, and TrajectoryService::Recover rebuilds a byte-identical service from
 // the journal after a crash. See docs/durability.md.
@@ -54,79 +54,29 @@
 
 namespace retrasyn {
 
-/// \brief Service-layer knobs for engines that are not built from a
-/// RetraSynConfig (CreateWithEngine / Attach). Create() derives these from
-/// the RetraSynConfig fields of the same names.
-struct ServiceOptions {
-  SyncPolicy sync_policy = SyncPolicy::kInline;
-  int round_queue_capacity = 8;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Ingest shards (RetraSynConfig::ingest_shards): users are hash-
-  /// partitioned across this many independently locked session shards, each
-  /// with its own journal stream under journal_dir/shard-NNN when journaling
-  /// is on. Released bytes are identical for every shard count; the journal
-  /// fingerprint records it, so Recover under a different count is refused.
-  int ingest_shards = 1;
-  /// Reuse per-round sealing buffers (RetraSynConfig::reuse_seal_buffers).
-  bool reuse_seal_buffers = true;
-  /// Durable event journal directory; empty disables journaling. The
-  /// factories require the directory to hold no existing journal — resume an
-  /// existing one through TrajectoryService::Recover instead.
-  std::string journal_dir;
-  JournalOptions journal;
-  /// Stream-index recycling for the session (IngestSessionOptions): re-issue
-  /// a quitted stream's index once its quit round has left recycle_window
-  /// rounds. Default OFF here — a custom engine must tolerate index reuse
-  /// (reset its per-index state by the same quit-round + window rule, as
-  /// RetraSynEngine does) before a caller switches it on. Create() copies
-  /// RetraSynConfig::recycle_stream_indices / window, so RetraSyn services
-  /// recycle by default.
-  bool recycle_stream_indices = false;
-  int recycle_window = 0;
-  /// Periodic checkpointing + journal compaction (checkpoint_manager.h):
-  /// every N closed rounds the service captures its full state into
-  /// checkpoint_dir and retires journal segments older than the oldest
-  /// retained checkpoint minus the w-window, so recovery replays O(window)
-  /// rounds instead of the full horizon. Requires journal_dir (a checkpoint
-  /// only bridges to a journal suffix) and a RetraSynEngine (custom engines
-  /// have no serializable state). 0 disables checkpointing.
-  int64_t checkpoint_every_rounds = 0;
-  std::string checkpoint_dir;
-  int checkpoint_retain = 2;
-  /// Spill closed synthetic streams to history files at every checkpoint,
-  /// keeping steady-state memory flat over unbounded horizons.
-  bool checkpoint_spill_history = true;
-  /// Unified telemetry (RetraSynConfig::enable_telemetry): one metrics
-  /// registry + round-lifecycle trace threaded through the session, closer,
-  /// engine, journal, and checkpoint subsystems, snapshot via
-  /// TrajectoryService::telemetry(). Observation-only — released bytes are
-  /// byte-identical on or off — and NOT part of the deployment fingerprint.
-  bool enable_telemetry = true;
-
-  /// The service-layer fields of \p config, verbatim.
-  static ServiceOptions FromConfig(const RetraSynConfig& config);
-  Status Validate() const;
-};
-
 class TrajectoryService {
  public:
+  // Every deployment opens through one of four factories: Create starts a
+  // fresh service, Recover rebuilds one from its event journal. Each takes
+  // either a RetraSynConfig (the service builds the RetraSynEngine and reads
+  // the service knobs from the config's ServiceOptions base) or an owned
+  // custom engine plus its ServiceOptions (ablation variants, the LDP-IDS
+  // baselines, future mechanisms). Every argument check runs before the
+  // first filesystem call, so a refused open leaves the directories exactly
+  // as it found them. \p states must outlive the service.
+
   /// Builds a RetraSyn engine from \p config and wraps it in a service.
-  /// Returns InvalidArgument (via RetraSynConfig::Validate) instead of
-  /// crashing on a nonsensical configuration. \p states must outlive the
-  /// service.
+  /// Returns InvalidArgument (via RetraSynConfig::Validate and
+  /// ServiceOptions::Validate) instead of crashing on a nonsensical
+  /// configuration.
   static Result<std::unique_ptr<TrajectoryService>> Create(
       const StateSpace& states, const RetraSynConfig& config);
 
-  /// Wraps an externally constructed engine (ablation variants, LDP-IDS
-  /// baselines). The service takes ownership.
-  static Result<std::unique_ptr<TrajectoryService>> CreateWithEngine(
+  /// Wraps an externally constructed engine; the service takes ownership.
+  /// The engine declares whether the session may reuse stream indices
+  /// (StreamReleaseEngine::stream_index_reuse_window).
+  static Result<std::unique_ptr<TrajectoryService>> Create(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-      const ServiceOptions& options = {});
-
-  /// Wraps a caller-owned engine (must outlive the service). Used by the
-  /// evaluation harness, which inspects the engine after the run.
-  static Result<std::unique_ptr<TrajectoryService>> Attach(
-      const StateSpace& states, StreamReleaseEngine* engine,
       const ServiceOptions& options = {});
 
   /// Rebuilds a crashed service from its event journal
@@ -151,17 +101,14 @@ class TrajectoryService {
   static Result<std::unique_ptr<TrajectoryService>> Recover(
       const StateSpace& states, const RetraSynConfig& config);
 
-  /// Recover counterparts of CreateWithEngine/Attach, for journaled services
-  /// over custom engines: the caller reconstructs the engine exactly as it
-  /// did before the crash (the journal's fingerprint binds the state space
-  /// and the engine's self-reported name; config equality beyond that is the
-  /// caller's contract, exactly as byte-identical replay is). \p options
-  /// must name the journal via ServiceOptions::journal_dir.
-  static Result<std::unique_ptr<TrajectoryService>> RecoverWithEngine(
+  /// Recover for a journaled service over a custom engine: the caller
+  /// reconstructs the engine exactly as it did before the crash (the
+  /// journal's fingerprint binds the state space, the engine's self-reported
+  /// name and the shard count; config equality beyond that is the caller's
+  /// contract, exactly as byte-identical replay is). \p options must name
+  /// the journal via ServiceOptions::journal_dir.
+  static Result<std::unique_ptr<TrajectoryService>> Recover(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-      const ServiceOptions& options);
-  static Result<std::unique_ptr<TrajectoryService>> RecoverAttached(
-      const StateSpace& states, StreamReleaseEngine* engine,
       const ServiceOptions& options);
 
   /// Joins the async workers, discarding rounds still queued; Drain() first
@@ -189,9 +136,6 @@ class TrajectoryService {
   /// (sticky). Immediate under kInline. Required before SnapshotRelease()
   /// under kAsync.
   Status Drain();
-
-  /// Alias for Drain(), for callers that think in flush terms.
-  Status Flush() { return Drain(); }
 
   /// Non-destructive snapshot of the synthetic database over the rounds
   /// closed so far. The stream stays open; snapshot as often as needed.
@@ -240,8 +184,8 @@ class TrajectoryService {
   /// \p defer_async_closer leaves the closer un-armed even under kAsync, so
   /// Recover can replay the journal inline before ArmCloser re-enables it.
   TrajectoryService(const StateSpace& states,
-                    std::unique_ptr<StreamReleaseEngine> owned,
-                    StreamReleaseEngine* engine, const ServiceOptions& options,
+                    std::unique_ptr<StreamReleaseEngine> engine,
+                    const ServiceOptions& options,
                     std::vector<std::unique_ptr<JournalWriter>> journals,
                     bool defer_async_closer = false);
 
@@ -256,12 +200,17 @@ class TrajectoryService {
   /// open round.
   Status ReplayJournals(const std::vector<JournalScan>& scans,
                         int64_t resume_round, int64_t target_round);
-  /// Shared recovery flow behind Recover/RecoverWithEngine/RecoverAttached:
-  /// lock, fingerprint check, tail truncation, inline replay, re-arm.
+  /// The open step behind both Create overloads, and the recovery flow
+  /// behind both Recover overloads (lock, fingerprint check, tail
+  /// truncation, inline replay, re-arm). \p config is the fingerprint
+  /// source of a Create(config)-built RetraSyn deployment; null for a
+  /// caller-supplied engine, whose fingerprint binds its name instead.
+  static Result<std::unique_ptr<TrajectoryService>> OpenFresh(
+      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+      const ServiceOptions& options, const RetraSynConfig* config);
   static Result<std::unique_ptr<TrajectoryService>> RecoverImpl(
-      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> owned,
-      StreamReleaseEngine* engine, const ServiceOptions& options,
-      uint64_t fingerprint);
+      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+      const ServiceOptions& options, const RetraSynConfig* config);
 
   /// The session's round handler: inline, runs the round to completion;
   /// async, submits it to the closer.
@@ -278,12 +227,10 @@ class TrajectoryService {
   std::unique_ptr<Telemetry> telemetry_;
 
   const StateSpace* states_;
-  std::unique_ptr<StreamReleaseEngine> owned_engine_;
-  StreamReleaseEngine* engine_;      ///< owned_engine_.get() or caller-owned
-  const RetraSynEngine* retrasyn_ = nullptr;
-  /// Mutable view of retrasyn_, for checkpoint capture/restore (state
-  /// save/take/restore are non-const). Null for custom engines.
-  RetraSynEngine* retrasyn_mutable_ = nullptr;
+  std::unique_ptr<StreamReleaseEngine> engine_;
+  /// engine_ when it is a RetraSynEngine (checkpoint capture/restore and
+  /// privacy auditing); null for custom engines.
+  RetraSynEngine* retrasyn_ = nullptr;
   std::unique_ptr<IngestSession> session_;
   /// One writer per ingest shard (a single one unsharded); empty =
   /// journaling disabled.

@@ -280,24 +280,5 @@ TEST(EngineTest, RetiresQuitIndexExactlyOneWindowAfterQuit) {
   EXPECT_FALSE(engine.report_tracker().HasViolation());
 }
 
-TEST(EngineTest, RecyclingOffKeepsQuittedSlotsForever) {
-  const EngineFixture fx(10, 20);
-  RetraSynConfig config =
-      BaseConfig(DivisionStrategy::kPopulation, AllocationKind::kAdaptive);
-  config.window = 3;
-  config.recycle_stream_indices = false;
-  RetraSynEngine engine(fx.states, config);
-  const CellId cell = fx.grid.Cell(1, 1);
-  engine.Observe(EnterBatch(fx.states, 0, 0, cell));
-  engine.Observe(QuitBatch(fx.states, 1, 0, cell));
-  for (int64_t t = 2; t < 8; ++t) {
-    TimestampBatch empty;
-    empty.t = t;
-    engine.Observe(empty);
-    EXPECT_TRUE(engine.retired_last_round().empty()) << "t=" << t;
-  }
-  EXPECT_EQ(engine.total_retired(), 0u);
-}
-
 }  // namespace
 }  // namespace retrasyn

@@ -369,8 +369,8 @@ TEST(CheckpointRecoveryTest, ValidForeignCheckpointIsRefusedLoudly) {
 }
 
 TEST(CheckpointRecoveryTest, ChangedDeploymentIsRefusedLoudly) {
-  // Changing the grid, an engine-config field, or the recycling flag between
-  // the crash and the recovery must refuse, not replay-and-diverge.
+  // Changing the grid or an engine-config field between the crash and the
+  // recovery must refuse, not replay-and-diverge.
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 3);
   const SpatialGrid& grid = *grid_owner;
@@ -388,11 +388,6 @@ TEST(CheckpointRecoveryTest, ChangedDeploymentIsRefusedLoudly) {
   RetraSynConfig reseeded = config;
   reseeded.seed = config.seed + 1;
   EXPECT_EQ(TrajectoryService::Recover(states, reseeded).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  RetraSynConfig no_recycling = config;
-  no_recycling.recycle_stream_indices = false;
-  EXPECT_EQ(TrajectoryService::Recover(states, no_recycling).status().code(),
             StatusCode::kFailedPrecondition);
 
   const Grid finer(box, 6);
@@ -570,6 +565,66 @@ class NullEngine : public StreamReleaseEngine {
   std::string name() const override { return "null-engine"; }
 };
 
+TEST(CheckpointRecoveryTest, RefusedRecoverLeavesTheJournalUntouched) {
+  // Every argument check runs before the first filesystem call: a Recover
+  // refused because a custom engine cannot checkpoint must not cut the torn
+  // tail (or repair anything else) that a successful Recover would.
+  const BoundingBox box{0.0, 0.0, 400.0, 400.0};
+  const auto grid_owner = MakeEnvGrid(box, 3);
+  const SpatialGrid& grid = *grid_owner;
+  const StateSpace states(grid);
+  TempDir parent;
+
+  ServiceOptions options;
+  options.journal_dir = parent.path() + "/journal";
+  {
+    auto service = TrajectoryService::Create(
+        states, std::make_unique<NullEngine>(), options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveChurnRounds(service.value()->session(), grid, 0, 3, 8, 2);
+  }
+  auto names = ListDirectory(options.journal_dir);
+  ASSERT_TRUE(names.ok());
+  std::vector<std::string> segments;
+  for (const std::string& name : names.value()) {
+    uint64_t index = 0;
+    if (JournalWriter::ParseSegmentFileName(name, &index)) {
+      segments.push_back(options.journal_dir + "/" + name);
+    }
+  }
+  ASSERT_EQ(segments.size(), 1u);
+  {
+    std::FILE* f = std::fopen(segments[0].c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite("garbage", 1, 7, f), 7u);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  auto torn = ReadFileToString(segments[0]);
+  ASSERT_TRUE(torn.ok());
+
+  ServiceOptions checkpointed = options;
+  checkpointed.checkpoint_dir = parent.path() + "/ckpt";
+  checkpointed.checkpoint_every_rounds = 5;
+  EXPECT_EQ(TrajectoryService::Recover(states, std::make_unique<NullEngine>(),
+                                       checkpointed)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  auto after = ReadFileToString(segments[0]);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), torn.value());
+
+  // The same journal recovers once the refused knob is dropped, and only
+  // then loses its torn tail.
+  auto recovered = TrajectoryService::Recover(
+      states, std::make_unique<NullEngine>(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->rounds_closed(), 3);
+  auto cut = FileSize(segments[0]);
+  ASSERT_TRUE(cut.ok());
+  EXPECT_EQ(cut.value(), static_cast<int64_t>(torn.value().size()) - 7);
+}
+
 TEST(CheckpointRecoveryTest, GuardsRefuseUncheckpointableConfigurations) {
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 3);
@@ -598,13 +653,8 @@ TEST(CheckpointRecoveryTest, GuardsRefuseUncheckpointableConfigurations) {
   options.journal_dir = parent.path() + "/journal";
   options.checkpoint_dir = parent.path() + "/ckpt";
   options.checkpoint_every_rounds = 5;
-  EXPECT_EQ(TrajectoryService::CreateWithEngine(
-                states, std::make_unique<NullEngine>(), options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  NullEngine attached;
-  EXPECT_EQ(TrajectoryService::Attach(states, &attached, options)
+  EXPECT_EQ(TrajectoryService::Create(states, std::make_unique<NullEngine>(),
+                                      options)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

@@ -217,5 +217,27 @@ TEST(GridFingerprintTest, CheckpointGridDescriptionIsVerifiedVerbatim) {
       << refused.status().ToString();
 }
 
+TEST(GridFingerprintTest, DefaultDeploymentFingerprintIsPinned) {
+  // Every other recovery test writes and reads its journal in one binary, so
+  // none of them notices a fingerprint that changes across versions — which
+  // would make every journal already on disk unrecoverable. Pin the value a
+  // default-config deployment on a fixed uniform grid stamps into its
+  // segment headers.
+  const Grid grid(kBox, 4);
+  const StateSpace states(grid);
+  TempDir parent;
+  RetraSynConfig config;
+  config.journal_dir = parent.path() + "/journal";
+  {
+    auto service = TrajectoryService::Create(states, config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE(service.value()->session().Tick().ok());
+  }
+  auto scan = JournalReader::ScanDir(config.journal_dir);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_TRUE(scan.value().has_fingerprint);
+  EXPECT_EQ(scan.value().fingerprint, 0x5dc822e67e95035bull);
+}
+
 }  // namespace
 }  // namespace retrasyn

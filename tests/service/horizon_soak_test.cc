@@ -4,9 +4,9 @@
 // space and the engine's dense status/report-slot vectors — bounded by
 // O(peak live + one window of churn), not by the number of streams ever
 // started. Also pins the recycling determinism contracts: released bytes are
-// identical with recycling on/off and under Inline/Async round closing, and
-// the retired-index flow delivered through the release pipeline matches the
-// session's own accounting.
+// identical under Inline/Async round closing, and the retired-index flow
+// delivered through the release pipeline matches the session's own
+// accounting.
 //
 // Round count scales with RETRASYN_SOAK_ROUNDS (default 10000) so the TSan
 // CI stress job can shrink it while the release job soaks the full horizon.
@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -139,18 +141,46 @@ TEST(HorizonSoakTest, ChurnKeepsIndexSpaceAndDenseStateBounded) {
   }
 }
 
-TEST(HorizonSoakTest, LegacyModeGrowsLinearlyProvingTheLeakExisted) {
-  // Control experiment (short): with recycling off, the index high-water and
-  // the dense engine state grow with every stream ever started.
+/// An engine that declares no stream-index reuse (the StreamReleaseEngine
+/// default) and only records the highest index it was handed.
+class IndexHighWaterEngine : public StreamReleaseEngine {
+ public:
+  explicit IndexHighWaterEngine(uint32_t num_cells) : num_cells_(num_cells) {}
+  void Observe(const TimestampBatch& batch) override {
+    for (const UserObservation& obs : batch.observations) {
+      max_index_ = std::max(max_index_, obs.user_index);
+    }
+  }
+  CellStreamSet SnapshotRelease(int64_t num_timestamps) const override {
+    return CellStreamSet(num_timestamps);
+  }
+  std::vector<uint32_t> LiveDensity() const override {
+    return std::vector<uint32_t>(num_cells_, 0);
+  }
+  CellStreamSet Finish(int64_t num_timestamps) override {
+    return CellStreamSet(num_timestamps);
+  }
+  std::string name() const override { return "IndexHighWater"; }
+  uint32_t max_index() const { return max_index_; }
+
+ private:
+  uint32_t num_cells_;
+  uint32_t max_index_ = 0;
+};
+
+TEST(HorizonSoakTest, NoReuseEngineGrowsLinearlyProvingTheLeakExisted) {
+  // Control experiment (short): an engine that declares no index reuse gets
+  // the session's cumulative assignment, so the index high-water grows with
+  // every stream ever started.
   constexpr int64_t kRounds = 400;
   const BoundingBox box{0.0, 0.0, 100.0, 100.0};
   const auto grid_owner = MakeEnvGrid(box, 2);
   const SpatialGrid& grid = *grid_owner;
   const StateSpace states(grid);
 
-  RetraSynConfig config = SoakConfig();
-  config.recycle_stream_indices = false;
-  auto service = TrajectoryService::Create(states, config);
+  auto engine = std::make_unique<IndexHighWaterEngine>(grid.NumCells());
+  const IndexHighWaterEngine* raw = engine.get();
+  auto service = TrajectoryService::Create(states, std::move(engine));
   ASSERT_TRUE(service.ok());
   IngestSession& session = service.value()->session();
   for (int64_t t = 0; t < kRounds; ++t) {
@@ -159,40 +189,8 @@ TEST(HorizonSoakTest, LegacyModeGrowsLinearlyProvingTheLeakExisted) {
   }
   EXPECT_EQ(session.index_high_water(),
             static_cast<uint32_t>(kChurn * kRounds));
-  EXPECT_GE(service.value()->retrasyn_engine()->dense_user_slots(),
-            static_cast<size_t>(kChurn * kRounds - kLive));
-}
-
-TEST(HorizonSoakTest, ChurnReleaseByteIdenticalWithRecyclingOnAndOff) {
-  // The A/B contract behind the default-on flag: recycled indices resolve to
-  // dense slots indistinguishable from fresh ones, so the released bytes
-  // must match the legacy cumulative assignment exactly.
-  constexpr int64_t kRounds = 400;
-  const BoundingBox box{0.0, 0.0, 100.0, 100.0};
-  const auto grid_owner = MakeEnvGrid(box, 2);
-  const SpatialGrid& grid = *grid_owner;
-  const StateSpace states(grid);
-
-  auto run = [&](bool recycle) {
-    RetraSynConfig config = SoakConfig();
-    config.recycle_stream_indices = recycle;
-    auto service = TrajectoryService::Create(states, config);
-    EXPECT_TRUE(service.ok());
-    for (int64_t t = 0; t < kRounds; ++t) {
-      DriveChurnRound(service.value()->session(), grid, t);
-    }
-    return std::move(service).value();
-  };
-  auto on = run(true);
-  auto off = run(false);
-  if (testing::Test::HasFatalFailure()) return;
-  EXPECT_LT(on->session().index_high_water(),
-            off->session().index_high_water() / 4);
-  auto got = on->SnapshotRelease();
-  auto want = off->SnapshotRelease();
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(want.ok());
-  ExpectSameRelease(got.value(), want.value());
+  EXPECT_EQ(raw->max_index(), static_cast<uint32_t>(kChurn * kRounds - 1));
+  EXPECT_EQ(session.num_free_indices() + session.num_retiring_indices(), 0u);
 }
 
 TEST(HorizonSoakTest, ChurnInlineVsAsyncByteIdenticalWithRecycling) {

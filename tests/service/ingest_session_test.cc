@@ -507,8 +507,7 @@ TEST(IngestSessionTest, BatchInvariantUnderArrivalPermutations) {
 
 IngestSessionOptions Recycling(int window) {
   IngestSessionOptions options;
-  options.recycle_stream_indices = true;
-  options.window = window;
+  options.reuse_window = window;
   return options;
 }
 

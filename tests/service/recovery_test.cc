@@ -567,10 +567,10 @@ TEST(RecoveryTest, RecoverOnAMissingOrEmptyJournalIsAFreshService) {
   RemoveDirTree(journaled.journal_dir).CheckOK();
 }
 
-TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {
-  // Journals written by CreateWithEngine/Attach deployments must be
-  // recoverable too — through the overloads that accept a caller-built
-  // engine (identically reconstructed, as byte-identity always required).
+TEST(RecoveryTest, CustomEngineServicesRecoverThroughTheEngineOverload) {
+  // Journals written by deployments over a caller-built engine must be
+  // recoverable too — through the Recover overload that accepts one
+  // (identically reconstructed, as byte-identity always required).
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const SpatialGrid& grid = *grid_owner;
@@ -582,21 +582,20 @@ TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {
   options.journal_dir = dir.path();
   constexpr int64_t kCrashAt = 8;
   {
-    auto service = TrajectoryService::CreateWithEngine(
+    auto service = TrajectoryService::Create(
         states, std::make_unique<RetraSynEngine>(states, BaseConfig()),
         options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     DriveRounds(service.value()->session(), traces, 0, kCrashAt);
   }
 
-  auto recovered = TrajectoryService::RecoverWithEngine(
+  auto recovered = TrajectoryService::Recover(
       states, std::make_unique<RetraSynEngine>(states, BaseConfig()), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ASSERT_EQ(recovered.value()->rounds_closed(), kCrashAt);
   DriveRounds(recovered.value()->session(), traces, kCrashAt, kHorizon);
 
-  RetraSynEngine reference_engine(states, BaseConfig());
-  auto reference = TrajectoryService::Attach(states, &reference_engine);
+  auto reference = TrajectoryService::Create(states, BaseConfig());
   ASSERT_TRUE(reference.ok());
   DriveRounds(reference.value()->session(), traces, 0, kHorizon);
 
@@ -606,13 +605,12 @@ TEST(RecoveryTest, CustomEngineServicesRecoverThroughRecoverWithEngine) {
   ASSERT_TRUE(want.ok());
   ExpectSameRelease(got.value(), want.value());
 
-  // RecoverAttached drives the same path for caller-owned engines.
+  // A second recovery replays the segments the recovered service appended.
   recovered.value().reset();
-  RetraSynEngine attached_engine(states, BaseConfig());
-  auto reattached =
-      TrajectoryService::RecoverAttached(states, &attached_engine, options);
-  ASSERT_TRUE(reattached.ok()) << reattached.status().ToString();
-  EXPECT_EQ(reattached.value()->rounds_closed(), kHorizon);
+  auto again = TrajectoryService::Recover(
+      states, std::make_unique<RetraSynEngine>(states, BaseConfig()), options);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value()->rounds_closed(), kHorizon);
 }
 
 TEST(RecoveryTest, RecoverUnderAChangedDeploymentIsRefused) {

@@ -133,7 +133,7 @@ TEST(RoundCloserTest, SlowSinkStillReceivesRoundsInOrder) {
   ServiceOptions options;
   options.sync_policy = SyncPolicy::kAsync;
   options.round_queue_capacity = 16;
-  auto service = TrajectoryService::CreateWithEngine(
+  auto service = TrajectoryService::Create(
       fx.states, std::make_unique<StubEngine>(fx.grid.NumCells()), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
@@ -162,8 +162,8 @@ TEST(RoundCloserTest, BlockBackpressureProcessesEveryRound) {
   auto engine =
       std::make_unique<StubEngine>(fx.grid.NumCells(), /*observe_delay_ms=*/3);
   StubEngine* raw = engine.get();
-  auto service = TrajectoryService::CreateWithEngine(fx.states,
-                                                     std::move(engine), options);
+  auto service =
+      TrajectoryService::Create(fx.states, std::move(engine), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   RecordingSink sink;
   service.value()->AddSink(&sink);
@@ -184,8 +184,8 @@ TEST(RoundCloserTest, FailFastBackpressureRejectsAndAllowsRetry) {
   auto engine = std::make_unique<StubEngine>(fx.grid.NumCells(),
                                              /*observe_delay_ms=*/30);
   StubEngine* raw = engine.get();
-  auto service = TrajectoryService::CreateWithEngine(fx.states,
-                                                     std::move(engine), options);
+  auto service =
+      TrajectoryService::Create(fx.states, std::move(engine), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   IngestSession& session = service.value()->session();
 
@@ -221,7 +221,7 @@ TEST(RoundCloserTest, SnapshotRequiresDrain) {
   ServiceOptions options;
   options.sync_policy = SyncPolicy::kAsync;
   options.round_queue_capacity = 8;
-  auto service = TrajectoryService::CreateWithEngine(
+  auto service = TrajectoryService::Create(
       fx.states,
       std::make_unique<StubEngine>(fx.grid.NumCells(), /*observe_delay_ms=*/20),
       options);
@@ -249,7 +249,7 @@ TEST(RoundCloserTest, SinkFailureSurfacesOnNextTickAndDrain) {
   ServiceOptions options;
   options.sync_policy = SyncPolicy::kAsync;
   options.round_queue_capacity = 4;
-  auto service = TrajectoryService::CreateWithEngine(
+  auto service = TrajectoryService::Create(
       fx.states, std::make_unique<StubEngine>(fx.grid.NumCells()), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   RecordingSink sink;
@@ -293,8 +293,7 @@ TEST(RoundCloserTest, InlineSinkFailureCommitsRoundAndSurfacesOnNextTick) {
   AsyncFixture fx;
   auto engine = std::make_unique<StubEngine>(fx.grid.NumCells());
   StubEngine* raw = engine.get();
-  auto service = TrajectoryService::CreateWithEngine(fx.states,
-                                                     std::move(engine), {});
+  auto service = TrajectoryService::Create(fx.states, std::move(engine), {});
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   RecordingSink sink;
   sink.fail_at_t = 1;

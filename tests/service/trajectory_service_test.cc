@@ -236,7 +236,7 @@ TEST(TrajectoryServiceTest, WrapsBaselineEnginesToo) {
   config.window = 10;
   config.method = LdpIdsMethod::kLPD;
   config.seed = 2;
-  auto service = TrajectoryService::CreateWithEngine(
+  auto service = TrajectoryService::Create(
       fx.states, std::make_unique<LdpIdsEngine>(fx.states, config));
   ASSERT_TRUE(service.ok());
   EXPECT_EQ(service.value()->retrasyn_engine(), nullptr);
