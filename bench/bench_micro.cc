@@ -67,6 +67,27 @@ void BM_CollectAggregateSim(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectAggregateSim)->Range(100, 100000);
 
+void BM_OueCollectAggregate(benchmark::State& state) {
+  // One default collection round at the end-to-end benchmark's model-bound
+  // size: the full k=64 state space (~44.3k states), 4,096 reports, a
+  // budget-division round budget. Nearly every state has true count 0, so
+  // the round is ~|S| Binomial(n, q) draws with the same (n, q).
+  const Grid grid(BoundingBox{0.0, 0.0, 1.0, 1.0}, 64);
+  const StateSpace states(grid);
+  TransitionCollector collector(states.size(), CollectionMode::kAggregateSim);
+  Rng rng(6);
+  std::vector<StateId> reports(4096);
+  for (StateId& s : reports) {
+    s = static_cast<StateId>(
+        rng.UniformInt(static_cast<uint64_t>(states.size())));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(collector.Collect(reports, 0.05, rng));
+  }
+  state.counters["states"] = states.size();
+}
+BENCHMARK(BM_OueCollectAggregate)->Unit(benchmark::kMillisecond);
+
 void BM_CollectPerUser(benchmark::State& state) {
   const uint32_t domain = 1000;
   const size_t n = static_cast<size_t>(state.range(0));

@@ -32,7 +32,16 @@ uint64_t Rng::Binomial(uint64_t n, double p) {
     for (uint64_t i = 0; i < n; ++i) c += Bernoulli(p) ? 1 : 0;
     return c;
   }
-  std::binomial_distribution<uint64_t> dist(n, p);
+  // The param_type constructor is the expensive part (exp/log/lgamma/sqrt)
+  // and callers repeat (n, p): the OUE aggregate simulation draws
+  // Binomial(n, q) for nearly every state. The param is a pure function of
+  // (n, p), so this thread's last one is reused. The distribution object is
+  // still fresh per draw: it owns a normal_distribution whose cached spare
+  // deviate would otherwise shift the draw sequence.
+  using Dist = std::binomial_distribution<uint64_t>;
+  thread_local Dist::param_type memo(n, p);
+  if (memo.t() != n || memo.p() != p) memo = Dist::param_type(n, p);
+  Dist dist(memo);
   return dist(*this);
 }
 

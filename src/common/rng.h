@@ -78,8 +78,9 @@ class Rng {
   }
 
   /// Binomial(n, p) sample: direct Bernoulli summation for small n, the
-  /// standard-library rejection sampler for large n. Exact in distribution in
-  /// both regimes.
+  /// standard-library sampler for large n. Exact in distribution in both
+  /// regimes. The large-n set-up is memoized per thread for the last (n, p),
+  /// without changing a single draw, so runs of equal (n, p) pay it once.
   uint64_t Binomial(uint64_t n, double p);
 
   /// Standard normal via Box-Muller (no cached spare; callers in this codebase

@@ -17,9 +17,11 @@
 // from there. BASE is written atomically (tmp file + rename + directory
 // fsync) *before* any segment is unlinked, so every crash point is safe:
 //
-//   * crash before the rename: an orphaned `*.tmp` the scanner removes;
+//   * crash before the rename: an orphaned `*.tmp` the next Recover
+//     removes;
 //   * crash after the rename, before the unlinks: segments below the base
-//     survive on disk but are declared dead — the scanner deletes them;
+//     survive on disk but are declared dead — the scanner skips them and
+//     the next Recover deletes them;
 //   * crash mid-unlink: same, for whichever subset remains.
 //
 // RetireJournalSegments is the one-call compaction step the checkpoint

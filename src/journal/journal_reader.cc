@@ -44,22 +44,19 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
     // Orphaned tmp files are atomic writes that never renamed; the write
     // they belonged to never happened, so they are garbage under any name.
     if (IsTempFileName(name)) {
-      RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
-      ++scan.files_cleaned;
+      scan.stale_files.push_back(name);
       continue;
     }
     uint64_t index = 0;
     if (JournalWriter::ParseSegmentFileName(name, &index)) {
       if (index < first_surviving_index) {
         // Durably declared dead by BASE; the unlink just never finished.
-        RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
-        ++scan.files_cleaned;
+        scan.stale_files.push_back(name);
         continue;
       }
       segments.emplace_back(index, name);
     }
   }
-  if (scan.files_cleaned > 0) RETRASYN_RETURN_NOT_OK(SyncDir(dir));
   std::sort(segments.begin(), segments.end());
   if (segments.empty()) {
     if (first_surviving_index > 0) {
@@ -160,6 +157,15 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
     scan.segments.push_back(ScannedSegment{segments[i].first, round_cursor});
   }
   return scan;
+}
+
+Status JournalReader::RemoveStaleFiles(const std::string& dir,
+                                       const JournalScan& scan) {
+  if (scan.stale_files.empty()) return Status::OK();
+  for (const std::string& name : scan.stale_files) {
+    RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
+  }
+  return SyncDir(dir);
 }
 
 }  // namespace retrasyn

@@ -47,9 +47,10 @@ struct JournalScan {
   /// The surviving segments in index order, each with its absolute end
   /// round. Empty for an empty/missing journal.
   std::vector<ScannedSegment> segments;
-  /// Orphaned `*.tmp` files (a crash mid atomic write) and segments below
-  /// the BASE that a crashed compaction left behind, deleted by the scan.
-  uint64_t files_cleaned = 0;
+  /// Names of the orphaned `*.tmp` files (a crash mid atomic write) and the
+  /// segments below the BASE that a crashed compaction left behind. The
+  /// scan skips them but deletes nothing; RemoveStaleFiles does that.
+  std::vector<std::string> stale_files;
   /// Deployment fingerprint from the segment headers (all segments must
   /// agree; mismatching segments fail the scan). Meaningless unless
   /// has_fingerprint — a journal of only empty segments carries none.
@@ -77,12 +78,19 @@ struct JournalScan {
 class JournalReader {
  public:
   /// Scans every segment under \p dir. See the header comment for the
-  /// tolerance rules. Also performs the journal's crash janitor duties:
-  /// deletes orphaned `*.tmp` files (an atomic write that never renamed)
-  /// and segments a durable BASE file has declared dead (a compaction that
-  /// crashed between its BASE write and its unlinks). Callers that mutate
-  /// the journal afterwards must hold the `<dir>/LOCK` before scanning.
+  /// tolerance rules. Read-only: orphaned `*.tmp` files (an atomic write
+  /// that never renamed) and segments a durable BASE file has declared dead
+  /// (a compaction that crashed between its BASE write and its unlinks) are
+  /// skipped and listed in `stale_files`, so a caller that then refuses the
+  /// journal leaves it exactly as it was. Callers that mutate the journal
+  /// afterwards must hold the `<dir>/LOCK` before scanning.
   static Result<JournalScan> ScanDir(const std::string& dir);
+
+  /// The journal's crash janitor: deletes \p scan's `stale_files` from
+  /// \p dir and fsyncs the directory. Run it only once the journal is
+  /// accepted.
+  static Status RemoveStaleFiles(const std::string& dir,
+                                 const JournalScan& scan);
 };
 
 }  // namespace retrasyn

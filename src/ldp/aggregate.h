@@ -13,8 +13,13 @@
 //                     independently, this equals the distribution of the
 //                     per-user sum, at O(|S|) per round. Benches use this mode
 //                     so laptop-scale runs match the paper's population sizes.
+//                     Each state costs two Rng::Binomial calls. With c = 0
+//                     (nearly every state) the first returns at once and the
+//                     second reuses the memoized sampler set-up for (n, q),
+//                     so a state costs one rejection-sampler draw: about
+//                     0.2 us at n = 4,096 (docs/performance.md).
 //
-// A statistical test (tests/ldp_collector_test.cc) verifies the two modes
+// A statistical test (tests/ldp/collector_test.cc) verifies the two modes
 // produce estimates with matching mean and variance.
 
 #ifndef RETRASYN_LDP_AGGREGATE_H_

@@ -452,13 +452,15 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
       CheckJournalLayout(options.journal_dir, options.ingest_shards));
   const std::vector<std::string> dirs = JournalDirsFor(options);
 
-  // Take every existing shard's writer lock BEFORE the destructive
-  // scans/truncates: if the crashed process is in fact still alive and
-  // appending (a supervisor restart race), reading its segments mid-write
-  // would misdiagnose a torn tail and truncate away durably acknowledged
-  // records. Directories that do not exist yet are NOT created here — a
-  // Recover that is about to be refused (wrong fingerprint, wrong layout)
-  // must leave the directory tree exactly as it found it.
+  // Take every existing shard's writer lock BEFORE the scans: if the
+  // crashed process is in fact still alive and appending (a supervisor
+  // restart race), reading its segments mid-write would misdiagnose a torn
+  // tail and truncate away durably acknowledged records. Directories that
+  // do not exist yet are NOT created here — a Recover that is about to be
+  // refused (wrong fingerprint, wrong layout) must leave the directory tree
+  // exactly as it found it. The scans are read-only for the same reason;
+  // the cleanup and truncation wait until every shard passed the
+  // fingerprint check.
   std::vector<FileLock> locks(dirs.size());
   std::vector<bool> existed(dirs.size(), false);
   std::vector<JournalScan> scans(dirs.size());
@@ -482,13 +484,16 @@ Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
           "config / shard count changed); replaying it here would silently "
           "diverge");
     }
-    if (scan.torn) {
+    scans[s] = std::move(scan);
+  }
+  for (size_t s = 0; s < dirs.size(); ++s) {
+    RETRASYN_RETURN_NOT_OK(JournalReader::RemoveStaleFiles(dirs[s], scans[s]));
+    if (scans[s].torn) {
       // Cut the torn tail physically so the on-disk journal is clean before
       // a single new byte is appended after it.
       RETRASYN_RETURN_NOT_OK(
-          TruncateFile(scan.torn_segment, scan.valid_tail_size));
+          TruncateFile(scans[s].torn_segment, scans[s].valid_tail_size));
     }
-    scans[s] = std::move(scan);
   }
 
   // Rounds durable in one scanned shard journal.

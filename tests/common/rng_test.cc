@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +117,66 @@ TEST(RngTest, BinomialDegenerate) {
   EXPECT_EQ(rng.Binomial(0, 0.5), 0u);
   EXPECT_EQ(rng.Binomial(100, 0.0), 0u);
   EXPECT_EQ(rng.Binomial(100, 1.0), 100u);
+}
+
+/// Binomial exactly as it was drawn before the set-up memo: a fresh
+/// std::binomial_distribution built from (n, p) for every large-n draw.
+uint64_t FreshDistributionBinomial(Rng& rng, uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  if (n <= 32) {
+    uint64_t c = 0;
+    for (uint64_t i = 0; i < n; ++i) c += rng.Bernoulli(p) ? 1 : 0;
+    return c;
+  }
+  std::binomial_distribution<uint64_t> dist(n, p);
+  return dist(rng);
+}
+
+TEST(RngTest, BinomialMatchesFreshDistributionReference) {
+  // The memoized set-up must not change a single draw or the generator state
+  // it leaves behind: the golden releases and the checkpointed RNG words
+  // depend on both. The grid reaches the Bernoulli path (n <= 32), the
+  // waiting-time path (n * p < 8) and the rejection path (n * p >= 8), on
+  // both sides of p = 1/2 where the sampler mirrors p. The schedule repeats
+  // a pair for a random run length, so the memo both hits and misses.
+  const std::vector<uint64_t> ns = {0, 1, 32, 33, 100, 4096, 100000};
+  const std::vector<double> ps = {0.0, 0.01, 0.269, 0.49,
+                                  0.5, 0.51, 0.999, 1.0};
+  Rng schedule(41);
+  Rng memoized(43), reference(43);
+  for (int step = 0; step < 4000; ++step) {
+    const uint64_t n = ns[schedule.UniformInt(ns.size())];
+    const double p = ps[schedule.UniformInt(ps.size())];
+    const uint64_t run = 1 + schedule.UniformInt(uint64_t{4});
+    for (uint64_t r = 0; r < run; ++r) {
+      ASSERT_EQ(memoized.Binomial(n, p),
+                FreshDistributionBinomial(reference, n, p))
+          << "step " << step << " n=" << n << " p=" << p;
+    }
+  }
+  EXPECT_EQ(memoized.state(), reference.state());
+
+  // The memo is per thread: two threads drawing concurrently with their own
+  // Rng and (n, p) must each still match the reference (TSan runs this too).
+  // Both pairs are on the waiting-time path: the rejection path calls
+  // lgamma, which writes glibc's global `signgam`, so concurrent
+  // rejection-path draws race on it with or without the memo.
+  auto worker = [](uint64_t seed, uint64_t n, double p, bool* matched) {
+    Rng mine(seed), ref(seed);
+    bool ok = true;
+    for (int i = 0; i < 20000; ++i) {
+      ok &= mine.Binomial(n, p) == FreshDistributionBinomial(ref, n, p);
+    }
+    *matched = ok && mine.state() == ref.state();
+  };
+  bool first = false, second = false;
+  std::thread a(worker, 47, 100, 0.01, &first);
+  std::thread b(worker, 53, 4096, 0.001, &second);
+  a.join();
+  b.join();
+  EXPECT_TRUE(first);
+  EXPECT_TRUE(second);
 }
 
 TEST(RngTest, GaussianMoments) {

@@ -623,6 +623,44 @@ TEST(CheckpointRecoveryTest, RefusedRecoverLeavesTheJournalUntouched) {
   auto cut = FileSize(segments[0]);
   ASSERT_TRUE(cut.ok());
   EXPECT_EQ(cut.value(), static_cast<int64_t>(torn.value().size()) - 7);
+
+  // A Recover refused by the deployment fingerprint (here a changed seed)
+  // must not run the journal's crash janitor either: an orphaned BASE.tmp
+  // and a segment below BASE survive it, and only the accepted Recover
+  // deletes them.
+  TempDir compacted;
+  RetraSynConfig config = CheckpointedConfig(compacted.path());
+  config.checkpoint_every_rounds = 10;
+  config.journal_segment_bytes = JournalOptions::kMinSegmentBytes;
+  {
+    auto service = TrajectoryService::Create(states, config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveChurnRounds(service.value()->session(), grid, 0, 60, 20, 4);
+    ASSERT_TRUE(service.value()->Drain().ok());
+  }
+  auto base = ReadJournalBase(config.journal_dir);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_GT(base.value().first_surviving_index, 0u);
+  const std::string dead =
+      config.journal_dir + "/" +
+      JournalWriter::SegmentFileName(base.value().first_surviving_index - 1);
+  const std::string orphan =
+      config.journal_dir + "/" + kJournalBaseFileName + ".tmp";
+  WriteBytes(dead, "dead segment");
+  WriteBytes(orphan, "torn base");
+
+  RetraSynConfig reseeded = config;
+  reseeded.seed += 1;
+  EXPECT_EQ(TrajectoryService::Recover(states, reseeded).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(FileExists(dead));
+  EXPECT_TRUE(FileExists(orphan));
+
+  auto accepted = TrajectoryService::Recover(states, config);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted.value()->rounds_closed(), 60);
+  EXPECT_FALSE(FileExists(dead));
+  EXPECT_FALSE(FileExists(orphan));
 }
 
 TEST(CheckpointRecoveryTest, GuardsRefuseUncheckpointableConfigurations) {
