@@ -82,7 +82,6 @@ SynthesizerConfig MakeSynthesizerConfig(const RetraSynConfig& config) {
   synth.use_size_adjustment = config.use_eq;
   synth.random_init = !config.use_eq;
   synth.num_threads = ResolveThreads(config);
-  synth.use_sampler_cache = config.use_sampler_cache;
   return synth;
 }
 
@@ -541,10 +540,6 @@ CellStreamSet RetraSynEngine::SnapshotRelease(int64_t num_timestamps) const {
 
 std::vector<uint32_t> RetraSynEngine::LiveDensity() const {
   return synthesizer_.LiveDensity();  // all zeros before initialization
-}
-
-CellStreamSet RetraSynEngine::Finish(int64_t num_timestamps) {
-  return synthesizer_.Finish(num_timestamps);
 }
 
 }  // namespace retrasyn

@@ -166,12 +166,6 @@ class StreamReleaseEngine {
   /// synthesis round.
   virtual std::vector<uint32_t> LiveDensity() const = 0;
 
-  /// Closes all live synthetic streams and returns the synthetic database
-  /// over the given horizon. The engine is finished afterwards. Legacy
-  /// batch-pipeline entry point; prefer SnapshotRelease, which does not
-  /// consume the engine.
-  virtual CellStreamSet Finish(int64_t num_timestamps) = 0;
-
   virtual std::string name() const = 0;
 
   /// Registers the engine's metrics in \p telemetry (not owned; null
@@ -230,9 +224,6 @@ struct RetraSynConfig : ServiceOptions {
   /// count from the pool size (or hardware), trading that reproducibility
   /// away explicitly.
   std::shared_ptr<ThreadPool> thread_pool;
-  /// When false, synthesis samples through legacy linear scans instead of the
-  /// cached alias tables (A/B benchmarking; distributionally identical).
-  bool use_sampler_cache = true;
 
   /// Upper bound Validate accepts for num_threads.
   static constexpr int kMaxThreads = 256;
@@ -314,7 +305,6 @@ class RetraSynEngine : public StreamReleaseEngine {
   void Observe(const TimestampBatch& batch) override;
   CellStreamSet SnapshotRelease(int64_t num_timestamps) const override;
   std::vector<uint32_t> LiveDensity() const override;
-  CellStreamSet Finish(int64_t num_timestamps) override;
   std::string name() const override;
   /// Rounds/reports counters plus the four per-component latency histograms
   /// of ComponentTimes, recorded at the same points Observe() already times;

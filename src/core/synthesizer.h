@@ -27,10 +27,7 @@
 // from raw model frequencies. Quit decisions and proposed next cells are
 // staged in reusable scratch buffers; points are only committed after the
 // size adjustment picks its victims, which preserves the phase ordering
-// above while halving the traversals. Setting
-// SynthesizerConfig::use_sampler_cache = false restores the legacy
-// linear-scan sampling (O(degree) + an allocation per point) for A/B
-// benchmarking; both paths draw from identical distributions.
+// above while halving the traversals.
 //
 // The ablation/baseline switches: use_quit=false + use_size_adjustment=false
 // + random_init=true reproduce the NoEQ variant of SV-D and the behaviour of
@@ -78,10 +75,6 @@ struct SynthesizerConfig {
   /// ThreadPool is attached, and of that pool's actual size. 1 = serial
   /// (default).
   int num_threads = 1;
-  /// When false, samples through the legacy linear scans over raw model
-  /// frequencies instead of the cached alias tables. Distributionally
-  /// identical; exists for A/B benchmarking and regression tests.
-  bool use_sampler_cache = true;
 };
 
 class Synthesizer {
@@ -107,7 +100,8 @@ class Synthesizer {
 
   /// Creates the initial synthetic population of \p target_size streams at
   /// timestamp \p t, sampling start cells from the model's entering
-  /// distribution (uniform under random_init or when E carries no mass).
+  /// distribution (its movement-source marginal under random_init; uniform
+  /// when that distribution carries no mass).
   void Initialize(const GlobalMobilityModel& model, uint32_t target_size,
                   int64_t t, Rng& rng);
 
@@ -121,10 +115,6 @@ class Synthesizer {
   /// over horizon \p num_timestamps, which must cover every generated point
   /// (>= the last stepped timestamp + 1). The synthesizer keeps running.
   CellStreamSet Snapshot(int64_t num_timestamps) const;
-
-  /// Closes every live stream and returns the full synthetic database over
-  /// horizon \p num_timestamps. The synthesizer is empty afterwards.
-  CellStreamSet Finish(int64_t num_timestamps);
 
   /// Derivation-work counters of the underlying sampler cache (tests and
   /// benches assert rebuilds track model changes, not sample counts).
@@ -158,13 +148,15 @@ class Synthesizer {
                uint64_t total_points, bool initialized);
 
  private:
-  void Spawn(const GlobalMobilityModel& model, uint32_t count, int64_t t,
-             Rng& rng);
+  /// Starts \p count streams at timestamp \p t, drawing start cells from the
+  /// synced cache (entering or move-marginal distribution, uniform when it
+  /// carries no mass).
+  void Spawn(uint32_t count, int64_t t, Rng& rng);
   /// Fused Eq. 8 termination + Markov step: one (optionally parallel) pass
   /// fills quit_flags_ and proposed_ for every live stream. Nothing is
   /// committed: quitters move to finished_ and the size adjustment may still
   /// drop survivors before their proposed point is appended.
-  void QuitAndGeneratePhase(const GlobalMobilityModel& model, Rng& rng);
+  void QuitAndGeneratePhase(Rng& rng);
   /// Number of work chunks for \p work_items (1 = run serially on the main
   /// RNG; >1 = forked per-chunk RNGs). Depends only on the config and the
   /// work size, never on the machine.
@@ -173,15 +165,6 @@ class Synthesizer {
   /// Per-round telemetry epilogue: step latency, point/cache-stat deltas,
   /// finished-stream delta, live gauge. Only called when attached.
   void RecordStepTelemetry(double seconds, uint64_t finished_delta);
-
-  double QuitProbabilityAt(const GlobalMobilityModel& model, CellId at) const;
-  /// Samples the next cell out of \p from via the model's movement
-  /// distribution; stays in place when the cell has no observed mass.
-  CellId SampleNextCell(const GlobalMobilityModel& model, CellId from,
-                        Rng& rng) const;
-  /// Legacy linear-scan variant of SampleNextCell (use_sampler_cache=false).
-  CellId SampleNextCellLinear(const GlobalMobilityModel& model, CellId from,
-                              Rng& rng) const;
 
   const StateSpace* states_;
   SynthesizerConfig config_;

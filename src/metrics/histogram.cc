@@ -78,6 +78,8 @@ double KendallTauB(const std::vector<double>& a,
 }
 
 std::vector<uint32_t> TopKIndices(const std::vector<double>& scores, int k) {
+  // A plain min<size_t>(k, size) would turn a negative k into SIZE_MAX.
+  if (k <= 0) return {};
   std::vector<uint32_t> idx(scores.size());
   std::iota(idx.begin(), idx.end(), 0);
   const size_t kk = std::min<size_t>(k, scores.size());
@@ -92,6 +94,7 @@ std::vector<uint32_t> TopKIndices(const std::vector<double>& scores, int k) {
 
 double NdcgAtK(const std::vector<double>& relevance,
                const std::vector<uint32_t>& ranking, int k) {
+  if (k <= 0) return 0.0;
   const size_t kk = std::min<size_t>(k, ranking.size());
   double dcg = 0.0;
   for (size_t i = 0; i < kk; ++i) {

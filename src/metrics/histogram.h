@@ -29,11 +29,12 @@ double KendallTauB(const std::vector<double>& a, const std::vector<double>& b);
 ///
 /// \param relevance  relevance (e.g. true counts) per item id
 /// \param ranking    predicted item ids, best first; only the first k used
+/// \return 0 when k <= 0
 double NdcgAtK(const std::vector<double>& relevance,
                const std::vector<uint32_t>& ranking, int k);
 
 /// \brief Indices of the k largest entries of \p scores, descending (ties
-/// broken by lower index).
+/// broken by lower index). Empty when k <= 0.
 std::vector<uint32_t> TopKIndices(const std::vector<double>& scores, int k);
 
 }  // namespace retrasyn

@@ -57,7 +57,10 @@ uint64_t DeploymentFingerprint(const StateSpace& states,
   HashMixU64(static_cast<uint64_t>(config.postprocess), &h);
   HashMixU64(config.seed, &h);
   HashMixU64(static_cast<uint64_t>(config.num_threads), &h);
-  HashMixU64(config.use_sampler_cache ? 1 : 0, &h);
+  // Synthesis always samples through the alias-table cache. The constant
+  // stands where its on/off flag was once hashed (on by default), so journals
+  // written with the cache on still recover.
+  HashMixU64(1, &h);
   // Stream-index reuse is always on for RetraSyn deployments. The constant
   // stands where an on/off flag was once hashed, so journals written with
   // reuse on still recover and journals written with it off are refused.

@@ -8,7 +8,7 @@
 //   session.Tick();                             // close the round
 //   auto snapshot = service->SnapshotRelease(); // live synthetic database
 //
-// Unlike the legacy batch pipeline (StreamFeeder + one-shot Finish), the
+// Unlike a batch pipeline (StreamFeeder batches into Observe), the
 // service accepts reports while the stream is open, pushes each round's
 // release to subscribed ReleaseSinks, and serves non-destructive snapshots of
 // the evolving synthetic database at any time. Fully materialized

@@ -51,7 +51,7 @@ TEST(EngineConfigTest, PostprocessModesAllRun) {
     for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
       engine.Observe(fx.feeder->Batch(t));
     }
-    const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+    const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
     EXPECT_GT(syn.TotalPoints(), 0u) << static_cast<int>(pp);
   }
 }
@@ -99,7 +99,7 @@ TEST(EngineConfigTest, ZeroMinPortionCanStarve) {
   for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
     engine.Observe(fx.feeder->Batch(t));
   }
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.streams().size(), 0u);
   EXPECT_FALSE(engine.report_tracker().HasViolation());
 }
@@ -141,7 +141,7 @@ TEST(EngineConfigTest, BudgetAdaptiveSurvivesLargeWindowDepletion) {
   for (double f : engine.model().frequencies()) {
     EXPECT_TRUE(std::isfinite(f));
   }
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.TotalPoints(), 0u);
 }
 
@@ -165,7 +165,7 @@ TEST(EngineConfigTest, LambdaControlsSyntheticLengths) {
     for (int64_t t = 0; t < feeder.num_timestamps(); ++t) {
       engine.Observe(feeder.Batch(t));
     }
-    const CellStreamSet syn = engine.Finish(feeder.num_timestamps());
+    const CellStreamSet syn = engine.SnapshotRelease(feeder.num_timestamps());
     return static_cast<double>(syn.TotalPoints()) / syn.streams().size();
   };
   EXPECT_LT(mean_length(3.0), mean_length(60.0));

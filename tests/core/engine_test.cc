@@ -57,7 +57,7 @@ TEST_P(EngineStrategyTest, RunsAndProducesValidSynthetic) {
   RetraSynEngine engine(fx.states,
                         BaseConfig(GetParam().division, GetParam().allocation));
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   EXPECT_GT(syn.streams().size(), 0u);
   for (const CellStream& s : syn.streams()) {
     EXPECT_GE(s.enter_time, 0);
@@ -89,7 +89,7 @@ TEST_P(EngineStrategyTest, SyntheticSizeTracksRealActiveCounts) {
   RetraSynEngine engine(fx.states,
                         BaseConfig(GetParam().division, GetParam().allocation));
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   // With enter/quit modeling on, the active counts must match exactly from
   // the first collection onwards.
   for (int64_t t = 1; t < fx.feeder->num_timestamps(); ++t) {
@@ -142,7 +142,7 @@ TEST(EngineTest, NoEqVariantFreezesPopulationAndNeverTerminates) {
   config.use_eq = false;
   RetraSynEngine engine(fx.states, config);
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(fx.feeder->num_timestamps());
+  const CellStreamSet syn = engine.SnapshotRelease(fx.feeder->num_timestamps());
   // All synthetic streams share one enter time and survive to the horizon.
   ASSERT_GT(syn.streams().size(), 0u);
   const int64_t t0 = syn.streams()[0].enter_time;
@@ -169,7 +169,7 @@ TEST(EngineTest, PerUserCollectionModeWorks) {
   config.collection_mode = CollectionMode::kPerUser;
   RetraSynEngine engine(fx.states, config);
   fx.Run(engine);
-  const CellStreamSet syn = engine.Finish(30);
+  const CellStreamSet syn = engine.SnapshotRelease(30);
   EXPECT_GT(syn.TotalPoints(), 0u);
   EXPECT_FALSE(engine.report_tracker().HasViolation());
 }
@@ -182,7 +182,7 @@ TEST(EngineTest, DeterministicGivenSeed) {
     for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
       engine.Observe(fx.feeder->Batch(t));
     }
-    return engine.Finish(fx.feeder->num_timestamps());
+    return engine.SnapshotRelease(fx.feeder->num_timestamps());
   };
   const CellStreamSet a = run_once();
   const CellStreamSet b = run_once();

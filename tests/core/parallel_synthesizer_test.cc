@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/synthesizer.h"
@@ -31,11 +35,10 @@ class ParallelSynthesizerTest : public testing::Test {
   }
 
   CellStreamSet Run(int num_threads, uint32_t population, int64_t horizon,
-                    ThreadPool* pool = nullptr, bool use_cache = true) {
+                    ThreadPool* pool = nullptr) {
     SynthesizerConfig config;
     config.lambda = 40.0;
     config.num_threads = num_threads;
-    config.use_sampler_cache = use_cache;
     Synthesizer synthesizer(states_, config);
     synthesizer.SetThreadPool(pool);
     Rng rng(5);
@@ -43,7 +46,7 @@ class ParallelSynthesizerTest : public testing::Test {
     for (int64_t t = 1; t < horizon; ++t) {
       synthesizer.Step(model_, population, t, rng);
     }
-    return synthesizer.Finish(horizon);
+    return synthesizer.Snapshot(horizon);
   }
 
   Grid grid_;
@@ -116,27 +119,66 @@ TEST_F(ParallelSynthesizerTest, PooledRunsDeterministicAcrossRepeats) {
   }
 }
 
-TEST_F(ParallelSynthesizerTest, CachedSamplersPreserveStatistics) {
-  // The alias-table hot path and the legacy linear scans draw from the same
-  // distributions: aggregate cell-visit histograms must agree closely.
-  const CellStreamSet cached = Run(1, 20000, 6, nullptr, /*use_cache=*/true);
-  const CellStreamSet legacy = Run(1, 20000, 6, nullptr, /*use_cache=*/false);
-  std::vector<double> h1(grid_.NumCells(), 0.0), h2(grid_.NumCells(), 0.0);
-  for (const CellStream& s : cached.streams()) {
-    for (CellId c : s.cells) ++h1[c];
-  }
-  for (const CellStream& s : legacy.streams()) {
-    for (CellId c : s.cells) ++h2[c];
-  }
-  double t1 = 0, t2 = 0;
-  for (size_t c = 0; c < h1.size(); ++c) {
-    t1 += h1[c];
-    t2 += h2[c];
-  }
-  ASSERT_GT(t1, 0);
-  ASSERT_GT(t2, 0);
-  for (size_t c = 0; c < h1.size(); ++c) {
-    EXPECT_NEAR(h1[c] / t1, h2[c] / t2, 0.01) << "cell " << c;
+TEST_F(ParallelSynthesizerTest, MarkovStepMatchesModelMovementWeights) {
+  // Analytic reference for the sampled transitions: with quits and size
+  // adjustment off, one Step moves every stream exactly once, so the
+  // from->to counts must follow each cell's clamped movement weights
+  // (chi-square over every cell), serially and across chunks.
+  constexpr uint32_t kPopulation = 200000;
+  for (int num_threads : {1, 4}) {
+    SynthesizerConfig config;
+    config.lambda = 40.0;
+    config.num_threads = num_threads;
+    config.use_quit = false;
+    config.use_size_adjustment = false;
+    Synthesizer synthesizer(states_, config);
+    Rng rng(11);
+    synthesizer.Initialize(model_, kPopulation, 0, rng);
+    synthesizer.Step(model_, kPopulation, 1, rng);
+    ASSERT_EQ(synthesizer.num_live(), kPopulation);
+
+    // counts[from][slot]: moves out of `from` into Neighbors(from)[slot].
+    std::vector<std::vector<double>> counts(grid_.NumCells());
+    for (CellId c = 0; c < grid_.NumCells(); ++c) {
+      counts[c].assign(grid_.Neighbors(c).size(), 0.0);
+    }
+    for (const CellStream& s : synthesizer.live_streams()) {
+      ASSERT_EQ(s.cells.size(), 2u);
+      const auto& nbrs = grid_.Neighbors(s.cells[0]);
+      const auto it = std::find(nbrs.begin(), nbrs.end(), s.cells[1]);
+      ASSERT_NE(it, nbrs.end()) << "non-adjacent move";
+      ++counts[s.cells[0]][it - nbrs.begin()];
+    }
+
+    double chi2 = 0.0;
+    int dof = 0;
+    for (CellId c = 0; c < grid_.NumCells(); ++c) {
+      const StateId offset = states_.MoveOffset(c);
+      std::vector<double> weights(counts[c].size());
+      double total = 0.0, moved = 0.0;
+      for (size_t i = 0; i < weights.size(); ++i) {
+        weights[i] = std::max(0.0, model_.frequency(offset + i));
+        total += weights[i];
+        moved += counts[c][i];
+      }
+      if (moved == 0.0) continue;
+      ASSERT_GT(total, 0.0);
+      --dof;  // the per-cell total is fixed by the observed moves
+      for (size_t i = 0; i < weights.size(); ++i) {
+        const double expected = moved * weights[i] / total;
+        if (expected == 0.0) {
+          EXPECT_EQ(counts[c][i], 0.0) << "cell " << c << " slot " << i;
+          continue;
+        }
+        chi2 += (counts[c][i] - expected) * (counts[c][i] - expected) /
+                expected;
+        ++dof;
+      }
+    }
+    ASSERT_GT(dof, 100);
+    // Far beyond the 99.9th percentile (about dof + 4.4 sigma here).
+    EXPECT_LT(chi2, dof + 6.0 * std::sqrt(2.0 * dof))
+        << "threads " << num_threads << " dof " << dof;
   }
 }
 

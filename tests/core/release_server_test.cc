@@ -1,19 +1,29 @@
+// ReleaseServer: the push-based query sink. Rounds reach it only through
+// OnRound — here from a TrajectoryService it is subscribed to, or built by
+// hand for the retention and ordering contracts.
+
 #include "core/release_server.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.h"
+#include "core/engine.h"
 #include "geo/grid.h"
+#include "service/replay.h"
+#include "service/trajectory_service.h"
+#include "stream/feeder.h"
 #include "stream/random_walk_generator.h"
 
 namespace retrasyn {
 namespace {
 
 struct ServerFixture {
-  ServerFixture() : grid(BoundingBox{0.0, 0.0, 1000.0, 1000.0}, 4),
-                    states(grid) {
+  explicit ServerFixture(int64_t num_timestamps = 60)
+      : grid(BoundingBox{0.0, 0.0, 1000.0, 1000.0}, 4), states(grid) {
     RandomWalkConfig config;
-    config.num_timestamps = 60;
+    config.num_timestamps = num_timestamps;
     config.initial_users = 250;
     config.mean_arrivals = 15.0;
     Rng rng(41);
@@ -31,27 +41,37 @@ struct ServerFixture {
     return config;
   }
 
+  /// Subscribes \p server to a fresh service and replays the whole database
+  /// through it; returns the service so callers can snapshot its release.
+  std::unique_ptr<TrajectoryService> ReplayInto(ReleaseServer& server) const {
+    auto service =
+        TrajectoryService::Create(states, EngineConfig()).ValueOrDie();
+    service->AddSink(&server);
+    ReplayDatabase(db, *service).CheckOK();
+    return service;
+  }
+
   Grid grid;
   StateSpace states;
   StreamDatabase db;
   std::unique_ptr<StreamFeeder> feeder;
 };
 
+/// The post-hoc index over \p service's release so far.
+DensityIndex PostHoc(const TrajectoryService& service, const Grid& grid) {
+  return DensityIndex(service.SnapshotRelease().ValueOrDie(), grid);
+}
+
 TEST(ReleaseServerTest, LiveAnswersMatchPostHocRelease) {
   // The online server's per-timestamp answers must equal what the post-hoc
-  // DensityIndex computes from the finished release — the consistency that
+  // DensityIndex computes from the release snapshot — the consistency that
   // makes "query the live view" legitimate.
   const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
   ReleaseServer server(fx.grid);
-  for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
-    engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
-  }
-  const CellStreamSet released = engine.Finish(fx.feeder->num_timestamps());
-  const DensityIndex post_hoc(released, fx.grid);
+  const auto service = fx.ReplayInto(server);
+  const DensityIndex post_hoc = PostHoc(*service, fx.grid);
 
-  ASSERT_EQ(server.horizon(), fx.feeder->num_timestamps());
+  ASSERT_EQ(server.horizon(), fx.db.num_timestamps());
   for (int64_t t = 0; t < server.horizon(); ++t) {
     EXPECT_EQ(server.DensityAt(t), post_hoc.DensityAt(t)) << "t=" << t;
     EXPECT_EQ(server.ActiveAt(t), post_hoc.TotalPointsIn(t, t + 1))
@@ -61,14 +81,9 @@ TEST(ReleaseServerTest, LiveAnswersMatchPostHocRelease) {
 
 TEST(ReleaseServerTest, RangeCountsMatchPostHoc) {
   const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
   ReleaseServer server(fx.grid);
-  for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
-    engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
-  }
-  const CellStreamSet released = engine.Finish(fx.feeder->num_timestamps());
-  const DensityIndex post_hoc(released, fx.grid);
+  const auto service = fx.ReplayInto(server);
+  const DensityIndex post_hoc = PostHoc(*service, fx.grid);
 
   Rng qrng(9);
   const auto queries =
@@ -80,14 +95,9 @@ TEST(ReleaseServerTest, RangeCountsMatchPostHoc) {
 
 TEST(ReleaseServerTest, TopHotspotsMatchAggregateDensity) {
   const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
   ReleaseServer server(fx.grid);
-  for (int64_t t = 0; t < fx.feeder->num_timestamps(); ++t) {
-    engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
-  }
-  const CellStreamSet released = engine.Finish(fx.feeder->num_timestamps());
-  const DensityIndex post_hoc(released, fx.grid);
+  const auto service = fx.ReplayInto(server);
+  const DensityIndex post_hoc = PostHoc(*service, fx.grid);
 
   const auto hotspots = server.TopHotspots(10, 30, 5);
   ASSERT_EQ(hotspots.size(), 5u);
@@ -103,24 +113,23 @@ TEST(ReleaseServerTest, TopHotspotsMatchAggregateDensity) {
 }
 
 TEST(ReleaseServerTest, PreInitializationTimestampsAreZero) {
-  // If ingestion starts before the engine's first synthesis round, those
-  // timestamps report zero density rather than garbage.
+  // A round closed before the engine's first synthesis round reports zero
+  // density rather than garbage.
   const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
+  auto service = TrajectoryService::Create(fx.states, fx.EngineConfig());
+  ASSERT_TRUE(service.ok());
   ReleaseServer server(fx.grid);
-  server.Ingest(engine);  // before any Observe
+  service.value()->AddSink(&server);
+  ASSERT_TRUE(service.value()->session().Tick().ok());  // no events yet
   EXPECT_EQ(server.ActiveAt(0), 0u);
   EXPECT_EQ(server.horizon(), 1);
 }
 
 TEST(ReleaseServerTest, TrailingMeanActive) {
-  const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
+  const ServerFixture fx(/*num_timestamps=*/20);
   ReleaseServer server(fx.grid);
-  for (int64_t t = 0; t < 20; ++t) {
-    engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
-  }
+  const auto service = fx.ReplayInto(server);
+  ASSERT_EQ(server.horizon(), 20);
   const double mean5 = server.TrailingMeanActive(5);
   double expected = 0.0;
   for (int64_t t = 15; t < 20; ++t) {
@@ -136,13 +145,9 @@ TEST(ReleaseServerTest, OutOfHorizonQueriesAnswerZero) {
   // Regression: a service client may query timestamps that are negative or
   // not yet ingested; the server must answer zeros, not crash or read out of
   // bounds.
-  const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
+  const ServerFixture fx(/*num_timestamps=*/10);
   ReleaseServer server(fx.grid);
-  for (int64_t t = 0; t < 10; ++t) {
-    engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
-  }
+  const auto service = fx.ReplayInto(server);
   ASSERT_EQ(server.horizon(), 10);
   for (int64_t t : {int64_t{-1}, int64_t{-100}, int64_t{10}, int64_t{9999}}) {
     EXPECT_EQ(server.ActiveAt(t), 0u) << "t=" << t;
@@ -155,13 +160,9 @@ TEST(ReleaseServerTest, OutOfHorizonQueriesAnswerZero) {
 }
 
 TEST(ReleaseServerTest, RangeCountClampsWindowAndGrid) {
-  const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
+  const ServerFixture fx(/*num_timestamps=*/10);
   ReleaseServer server(fx.grid);
-  for (int64_t t = 0; t < 10; ++t) {
-    engine.Observe(fx.feeder->Batch(t));
-    server.Ingest(engine);
-  }
+  const auto service = fx.ReplayInto(server);
   // Full-grid query over the whole horizon.
   RangeQuery all;
   all.row_lo = 0;
@@ -207,34 +208,18 @@ TEST(ReleaseServerTest, TrailingMeanActiveHardened) {
   EXPECT_EQ(server.TrailingMeanActive(-3), 0.0);
 }
 
-TEST(ReleaseServerTest, MixedIngestAndOnRoundPathsStayAligned) {
-  // Regression: the legacy Ingest() path used to append rows with no
-  // timestamp accounting, so interleaving it with OnRound() silently
-  // misaligned "round t lands at index t". Both paths now share one
-  // next-expected-timestamp ledger.
-  const ServerFixture fx;
-  RetraSynEngine engine(fx.states, fx.EngineConfig());
+TEST(ReleaseServerTest, TopHotspotsHardenedAgainstNonPositiveK) {
+  // Regression: k = -1 used to convert to SIZE_MAX inside TopKIndices and
+  // return every cell.
+  const ServerFixture fx(/*num_timestamps=*/10);
   ReleaseServer server(fx.grid);
-
-  engine.Observe(fx.feeder->Batch(0));
-  server.Ingest(engine);  // records at t=0
-  EXPECT_EQ(server.horizon(), 1);
-
-  RoundRelease round;
-  round.t = 3;  // subscribed consumer skipped ahead: backfill 1 and 2
-  round.density.assign(fx.grid.NumCells(), 0);
-  round.density[5] = 7;
-  round.active = 7;
-  ASSERT_TRUE(server.OnRound(round).ok());
-  EXPECT_EQ(server.horizon(), 4);
-  EXPECT_EQ(server.ActiveAt(1), 0u);
-  EXPECT_EQ(server.ActiveAt(2), 0u);
-  EXPECT_EQ(server.DensityAt(3)[5], 7u);
-
-  engine.Observe(fx.feeder->Batch(1));
-  server.Ingest(engine);  // continues at t=4, not on top of round 3
-  EXPECT_EQ(server.horizon(), 5);
-  EXPECT_EQ(server.DensityAt(3)[5], 7u);  // round 3 is untouched
+  const auto service = fx.ReplayInto(server);
+  EXPECT_TRUE(server.TopHotspots(0, 10, 0).empty());
+  EXPECT_TRUE(server.TopHotspots(0, 10, -1).empty());
+  EXPECT_TRUE(server.TopHotspots(-5, 100, -1000).empty());
+  // Nothing ingested: still empty, not a crash.
+  ReleaseServer empty(fx.grid);
+  EXPECT_TRUE(empty.TopHotspots(0, 10, -1).empty());
 }
 
 TEST(ReleaseServerTest, OutOfOrderAndDuplicateRoundsRejected) {
@@ -333,6 +318,34 @@ TEST(ReleaseServerTest, RetentionFastForwardsLargeBackfillGaps) {
   EXPECT_EQ(server.DensityAt(1000000)[0], 3u);
   EXPECT_EQ(server.ActiveAt(0), 0u);        // evicted
   EXPECT_EQ(server.ActiveAt(999999), 0u);   // backfilled zero or evicted
+}
+
+TEST(ReleaseServerTest, UnlimitedRetentionZeroBackfillsSkippedRounds) {
+  // A server subscribed mid-stream (or one that missed rounds) records the
+  // gap as zero rounds, so round t always lands at index t and later rounds
+  // never overwrite earlier ones.
+  const Grid grid(BoundingBox{0.0, 0.0, 100.0, 100.0}, 2);
+  ReleaseServer server(grid);
+  ASSERT_TRUE(server.OnRound(MakeRound(grid, 0, 1)).ok());
+  EXPECT_EQ(server.horizon(), 1);
+
+  RoundRelease skipped = MakeRound(grid, 3, 0);  // backfills rounds 1 and 2
+  skipped.density[3] = 7;
+  skipped.active = 7;
+  ASSERT_TRUE(server.OnRound(skipped).ok());
+  EXPECT_EQ(server.horizon(), 4);
+  EXPECT_EQ(server.first_retained(), 0);
+  EXPECT_EQ(server.ActiveAt(0), 4u);
+  for (int64_t t : {1, 2}) {
+    EXPECT_EQ(server.ActiveAt(t), 0u) << "t=" << t;
+    for (uint32_t c : server.DensityAt(t)) EXPECT_EQ(c, 0u) << "t=" << t;
+  }
+  EXPECT_EQ(server.DensityAt(3)[3], 7u);
+
+  ASSERT_TRUE(server.OnRound(MakeRound(grid, 4, 2)).ok());  // continues at 4
+  EXPECT_EQ(server.horizon(), 5);
+  EXPECT_EQ(server.DensityAt(3)[3], 7u);  // round 3 is untouched
+  EXPECT_EQ(server.ActiveAt(4), 8u);
 }
 
 TEST(ReleaseServerTest, UnlimitedRetentionKeepsLegacyBehavior) {

@@ -1,10 +1,11 @@
 // TransitionSamplerCache: the cached O(1) samplers must (a) draw from
-// exactly the distributions the model derives linearly, (b) re-derive only
+// exactly the distributions the model's frequencies define, (b) re-derive only
 // what a DMU-selective update touched, and (c) rebuild fully on ReplaceAll
 // or a collapsed dirty log.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -193,6 +194,69 @@ TEST_F(TransitionSamplerCacheTest, EnterSamplerMatchesEnterDistribution) {
   }
   // dof ~ 35; 99.9th percentile ~ 66.6.
   EXPECT_LT(chi2, 66.6);
+}
+
+TEST_F(TransitionSamplerCacheTest, MoveMarginalSamplerMatchesClampedMoveMass) {
+  // The random_init spawn distribution: cell c is drawn with probability
+  // proportional to the sum of its clamped outgoing movement frequencies.
+  // Checked on a fresh Sync, then again after a selective update, which must
+  // mark the lazily built marginal table stale and rebuild it on next draw.
+  auto chi_square = [&](const TransitionSamplerCache& cache, uint64_t seed) {
+    std::vector<double> mass(grid_.NumCells(), 0.0);
+    double total = 0.0;
+    for (CellId c = 0; c < grid_.NumCells(); ++c) {
+      const StateId offset = states_.MoveOffset(c);
+      for (size_t i = 0; i < grid_.Neighbors(c).size(); ++i) {
+        mass[c] += std::max(0.0, model_.frequency(offset + i));
+      }
+      total += mass[c];
+    }
+    EXPECT_GT(total, 0.0);
+    Rng rng(seed);
+    const int n = 200000;
+    std::vector<int> counts(grid_.NumCells(), 0);
+    for (int i = 0; i < n; ++i) {
+      const CellId c = cache.SampleMoveMarginalCell(rng);
+      EXPECT_LT(c, grid_.NumCells());
+      if (c < grid_.NumCells()) ++counts[c];
+    }
+    double chi2 = 0.0;
+    for (CellId c = 0; c < grid_.NumCells(); ++c) {
+      const double expected = n * mass[c] / total;
+      if (expected == 0.0) {
+        EXPECT_EQ(counts[c], 0) << "cell " << c << " has no movement mass";
+        continue;
+      }
+      chi2 += (counts[c] - expected) * (counts[c] - expected) / expected;
+    }
+    return chi2;
+  };
+
+  model_.ReplaceAll(RandomFrequencies(12));
+  TransitionSamplerCache cache(states_);
+  cache.Sync(model_);
+  // dof = 35; 99.9th percentile ~ 66.6.
+  EXPECT_LT(chi_square(cache, 31), 66.6);
+
+  // Shift a large share of the movement mass onto cell 0 and remove all of
+  // cell 20's (one negative input, which the model clamps to zero).
+  std::vector<double> fresh = model_.frequencies();
+  std::vector<StateId> selected;
+  for (size_t i = 0; i < grid_.Neighbors(0).size(); ++i) {
+    selected.push_back(states_.MoveOffset(0) + i);
+    fresh[selected.back()] = 0.5;
+  }
+  for (size_t i = 0; i < grid_.Neighbors(20).size(); ++i) {
+    selected.push_back(states_.MoveOffset(20) + i);
+    fresh[selected.back()] = i == 0 ? -0.3 : 0.0;
+  }
+  const uint64_t cells_before = cache.stats().cell_rebuilds;
+  model_.UpdateStates(selected, fresh);
+  cache.Sync(model_);
+  EXPECT_EQ(cache.stats().full_rebuilds, 1u);  // selective, not a full rebuild
+  EXPECT_EQ(cache.stats().cell_rebuilds, cells_before + 2);
+  // dof = 34 (cell 20 has no mass left); 99.9th percentile ~ 65.2.
+  EXPECT_LT(chi_square(cache, 37), 65.2);
 }
 
 TEST_F(TransitionSamplerCacheTest, NoMassSentinelsMirrorDiscreteContract) {

@@ -118,6 +118,15 @@ TEST(TopKTest, KLargerThanSize) {
   EXPECT_EQ(top[0], 0u);
 }
 
+TEST(TopKTest, NonPositiveKIsEmpty) {
+  // Regression: min<size_t>(k, size) turned k = -1 into SIZE_MAX and
+  // returned every index.
+  const std::vector<double> scores{0.3, 0.1, 0.7};
+  EXPECT_TRUE(TopKIndices(scores, 0).empty());
+  EXPECT_TRUE(TopKIndices(scores, -1).empty());
+  EXPECT_TRUE(TopKIndices(scores, -1000).empty());
+}
+
 TEST(NdcgTest, PerfectRankingIsOne) {
   const std::vector<double> rel{0.0, 10.0, 5.0, 1.0};
   const std::vector<uint32_t> ranking{1, 2, 3};
@@ -143,6 +152,14 @@ TEST(NdcgTest, HandComputedValue) {
 
 TEST(NdcgTest, ZeroRelevanceIsZero) {
   EXPECT_DOUBLE_EQ(NdcgAtK({0.0, 0.0}, {0, 1}, 2), 0.0);
+}
+
+TEST(NdcgTest, NonPositiveKIsZero) {
+  // Regression: k = -1 used to score the whole ranking.
+  const std::vector<double> rel{3.0, 2.0, 1.0};
+  const std::vector<uint32_t> ranking{0, 1, 2};
+  EXPECT_DOUBLE_EQ(NdcgAtK(rel, ranking, 0), 0.0);
+  EXPECT_DOUBLE_EQ(NdcgAtK(rel, ranking, -1), 0.0);
 }
 
 }  // namespace

@@ -561,7 +561,6 @@ class NullEngine : public StreamReleaseEngine {
     return CellStreamSet(n);
   }
   std::vector<uint32_t> LiveDensity() const override { return {0}; }
-  CellStreamSet Finish(int64_t n) override { return CellStreamSet(n); }
   std::string name() const override { return "null-engine"; }
 };
 

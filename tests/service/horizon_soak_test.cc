@@ -157,9 +157,6 @@ class IndexHighWaterEngine : public StreamReleaseEngine {
   std::vector<uint32_t> LiveDensity() const override {
     return std::vector<uint32_t>(num_cells_, 0);
   }
-  CellStreamSet Finish(int64_t num_timestamps) override {
-    return CellStreamSet(num_timestamps);
-  }
   std::string name() const override { return "IndexHighWater"; }
   uint32_t max_index() const { return max_index_; }
 

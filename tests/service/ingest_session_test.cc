@@ -740,7 +740,7 @@ TEST(IngestSessionTest, ReplayedEngineReleaseIsByteIdenticalToLegacyPath) {
   for (int64_t t = 0; t < feeder.num_timestamps(); ++t) {
     legacy.Observe(feeder.Batch(t));
   }
-  const CellStreamSet expected = legacy.Finish(feeder.num_timestamps());
+  const CellStreamSet expected = legacy.SnapshotRelease(feeder.num_timestamps());
 
   // Service path.
   auto service = TrajectoryService::Create(states, config);
