@@ -268,15 +268,22 @@ ShardResult RunShardSweep(const StateSpace& states, const BoundingBox& box,
                          *service.value());
   }
 
-  const IngestStats stats = service.value()->ingest_stats();
+  // The Tick phase totals come from the registry histograms the service
+  // exports, so the bench and production measure the same thing.
+  const TelemetrySnapshot telemetry = service.value()->telemetry();
+  auto sum_seconds = [&telemetry](const char* name) {
+    for (const MetricSample& sample : telemetry.metrics) {
+      if (sample.name == name) return sample.histogram.sum_seconds;
+    }
+    return 0.0;
+  };
+  result.seal_s = sum_seconds("retrasyn_ingest_seal_seconds");
+  result.merge_s = sum_seconds("retrasyn_ingest_merge_seconds");
+  result.commit_s = sum_seconds("retrasyn_ingest_commit_seconds");
   result.events_per_s =
       static_cast<double>(users) * static_cast<double>(rounds) / elapsed;
-  result.tick_mean_ms =
-      (stats.seal_seconds + stats.merge_seconds + stats.commit_seconds) /
-      static_cast<double>(rounds) * 1e3;
-  result.seal_s = stats.seal_seconds;
-  result.merge_s = stats.merge_seconds;
-  result.commit_s = stats.commit_seconds;
+  result.tick_mean_ms = (result.seal_s + result.merge_s + result.commit_s) /
+                        static_cast<double>(rounds) * 1e3;
   result.allocs_per_round =
       rounds > 2 ? static_cast<double>(steady_allocs) / (rounds - 2) : 0.0;
   result.alloc_bytes_per_round =

@@ -20,10 +20,10 @@ bool IsTempFileName(const std::string& name) {
          name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) == 0;
 }
 
-/// Lists \p dir, deletes orphaned tmp files, and splits the rest into
-/// checkpoint and history rounds (ascending). A missing directory yields
-/// empty lists.
+/// Lists \p dir into orphaned tmp files (names) and checkpoint and history
+/// rounds (ascending). Read-only; a missing directory yields empty lists.
 Status ScanCheckpointDir(const std::string& dir,
+                         std::vector<std::string>* tmp_files,
                          std::vector<int64_t>* checkpoints,
                          std::vector<int64_t>* histories) {
   auto names = ListDirectory(dir);
@@ -31,21 +31,16 @@ Status ScanCheckpointDir(const std::string& dir,
     if (names.status().code() == StatusCode::kNotFound) return Status::OK();
     return names.status();
   }
-  bool cleaned = false;
   for (const std::string& name : names.value()) {
-    if (IsTempFileName(name)) {
-      RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
-      cleaned = true;
-      continue;
-    }
     int64_t round = 0;
-    if (ParseCheckpointFileName(name, &round)) {
+    if (IsTempFileName(name)) {
+      tmp_files->push_back(name);
+    } else if (ParseCheckpointFileName(name, &round)) {
       checkpoints->push_back(round);
     } else if (ParseHistoryFileName(name, &round)) {
       histories->push_back(round);
     }
   }
-  if (cleaned) RETRASYN_RETURN_NOT_OK(SyncDir(dir));
   std::sort(checkpoints->begin(), checkpoints->end());
   std::sort(histories->begin(), histories->end());
   return Status::OK();
@@ -81,27 +76,10 @@ CheckpointManager::CheckpointManager(CheckpointOptions options)
 }
 
 Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Open(
-    const CheckpointOptions& options, bool require_fresh) {
+    const CheckpointOptions& options) {
   RETRASYN_RETURN_NOT_OK(options.Validate());
   RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.dir));
-  std::vector<int64_t> checkpoints;
-  std::vector<int64_t> histories;
-  RETRASYN_RETURN_NOT_OK(
-      ScanCheckpointDir(options.dir, &checkpoints, &histories));
-  if (require_fresh && (!checkpoints.empty() || !histories.empty())) {
-    return Status::FailedPrecondition(
-        "checkpoint directory " + options.dir +
-        " already holds checkpoints; Recover the existing deployment or "
-        "point the new one elsewhere");
-  }
   std::unique_ptr<CheckpointManager> manager(new CheckpointManager(options));
-  manager->retained_rounds_ = std::move(checkpoints);
-  if (!manager->retained_rounds_.empty()) {
-    // No concurrency yet (the worker starts below), but last_checkpoint_round_
-    // is guarded state; take the lock so the seeding is analysis-clean.
-    MutexLock l(manager->mu_);
-    manager->last_checkpoint_round_ = manager->retained_rounds_.back();
-  }
   manager->worker_ = std::thread([m = manager.get()] { m->WorkerLoop(); });
   return manager;
 }
@@ -501,24 +479,22 @@ int64_t CheckpointManager::last_checkpoint_round() const {
   return last_checkpoint_round_;
 }
 
-Result<CheckpointState> CheckpointManager::LoadForRecovery(
-    const std::string& dir, uint64_t fingerprint,
-    std::vector<int64_t>* surviving_rounds, int* corrupt_skipped) {
-  surviving_rounds->clear();
-  if (corrupt_skipped != nullptr) *corrupt_skipped = 0;
+Result<CheckpointRecovery> CheckpointManager::LoadForRecovery(
+    const std::string& dir, uint64_t fingerprint) {
+  CheckpointRecovery recovery;
   std::vector<int64_t> checkpoints;
   std::vector<int64_t> histories;
-  RETRASYN_RETURN_NOT_OK(ScanCheckpointDir(dir, &checkpoints, &histories));
+  RETRASYN_RETURN_NOT_OK(ScanCheckpointDir(dir, &recovery.stale_files,
+                                           &checkpoints, &histories));
+  recovery.holds_state = !checkpoints.empty() || !histories.empty();
 
-  CheckpointState chosen;
-  bool found = false;
-  bool removed = false;
-  // Newest first; a structurally damaged checkpoint is deleted and the next
+  // Newest first; a structurally damaged checkpoint is listed and the next
   // older one tried. A *valid* checkpoint from a different deployment fails
   // loudly instead — see the header contract.
-  for (size_t i = checkpoints.size(); i-- > 0 && !found;) {
+  for (size_t i = checkpoints.size(); i-- > 0 && !recovery.found;) {
     const int64_t round = checkpoints[i];
-    const std::string path = dir + "/" + CheckpointFileName(round);
+    const std::string name = CheckpointFileName(round);
+    const std::string path = dir + "/" + name;
     uint64_t stored_fingerprint = 0;
     auto body = ReadFramedFile(path, kCheckpointMagic, &stored_fingerprint);
     Status usable = body.status();
@@ -553,39 +529,27 @@ Result<CheckpointState> CheckpointManager::LoadForRecovery(
       }
     }
     if (!usable.ok()) {
-      RETRASYN_RETURN_NOT_OK(RemoveFile(path));
-      removed = true;
-      if (corrupt_skipped != nullptr) ++*corrupt_skipped;
+      recovery.stale_files.push_back(name);
+      ++recovery.corrupt_skipped;
       checkpoints.erase(checkpoints.begin() + static_cast<ptrdiff_t>(i));
       continue;
     }
-    chosen = std::move(state);
-    found = true;
+    recovery.state = std::move(state);
+    recovery.found = true;
   }
-  if (!found) {
-    // No usable checkpoint at all: any history files are unreferenced.
-    for (int64_t round : histories) {
-      RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + HistoryFileName(round)));
-      removed = true;
-    }
-    if (removed) RETRASYN_RETURN_NOT_OK(SyncDir(dir));
-    return Status::NotFound("no usable checkpoint under " + dir);
-  }
-  // Prune history files the chosen manifest does not reference (a spill
-  // whose checkpoint never became durable). Older retained checkpoints
-  // reference prefixes of the same cumulative manifest, so this never
-  // strands them.
-  std::unordered_set<int64_t> referenced(chosen.spill_rounds.begin(),
-                                         chosen.spill_rounds.end());
+  // History files the chosen manifest does not reference (a spill whose
+  // checkpoint never became durable; every one when nothing was found) are
+  // stale. Older retained checkpoints reference prefixes of the same
+  // cumulative manifest, so removing them never strands one.
+  std::unordered_set<int64_t> referenced(recovery.state.spill_rounds.begin(),
+                                         recovery.state.spill_rounds.end());
   for (int64_t round : histories) {
     if (referenced.count(round) == 0) {
-      RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + HistoryFileName(round)));
-      removed = true;
+      recovery.stale_files.push_back(HistoryFileName(round));
     }
   }
-  if (removed) RETRASYN_RETURN_NOT_OK(SyncDir(dir));
-  *surviving_rounds = std::move(checkpoints);
-  return chosen;
+  if (recovery.found) recovery.surviving_rounds = std::move(checkpoints);
+  return recovery;
 }
 
 }  // namespace retrasyn

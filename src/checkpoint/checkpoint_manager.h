@@ -80,32 +80,46 @@ struct CheckpointOptions {
   Status Validate() const;
 };
 
+/// \brief What recovery found in a checkpoint directory. Finding it deletes
+/// nothing: the caller removes `stale_files` (RemoveFiles) only once it has
+/// accepted the recovery, so a refused open leaves the directory as it found
+/// it.
+struct CheckpointRecovery {
+  /// True when a usable checkpoint exists; `state` is then the newest one.
+  bool found = false;
+  CheckpointState state;
+  /// Rounds of the checkpoints that stay on disk, ascending (retention
+  /// seeding through SeedRecovered).
+  std::vector<int64_t> surviving_rounds;
+  /// Orphaned `*.tmp` files, the corrupt checkpoints the ladder skipped, and
+  /// the history files the chosen checkpoint does not reference (every one
+  /// when none was found).
+  std::vector<std::string> stale_files;
+  /// Corrupt checkpoints skipped before the usable one: the recovery
+  /// fallback depth surfaced in telemetry.
+  int corrupt_skipped = 0;
+  /// True when the directory holds any checkpoint or history file, usable or
+  /// not: recoverable state a fresh deployment must not shadow.
+  bool holds_state = false;
+};
+
 class CheckpointManager {
  public:
-  /// Scans \p dir, removing orphaned `*.tmp` files, and opens a manager.
-  /// With \p require_fresh (Service::Create), any existing checkpoint or
-  /// history file fails with FailedPrecondition — a fresh service must never
-  /// silently shadow recoverable state.
+  /// Creates \p options.dir if missing and starts the worker. Seed the
+  /// manager through SeedRecovered before the first captured round.
   static Result<std::unique_ptr<CheckpointManager>> Open(
-      const CheckpointOptions& options, bool require_fresh);
+      const CheckpointOptions& options);
 
-  /// Loads the newest usable checkpoint for recovery: tries checkpoints
-  /// newest-first, skipping (and deleting) corrupt ones — torn frame, CRC
-  /// failure, malformed body, missing referenced spill file — and returns
-  /// the first that loads. A checkpoint that is structurally VALID but
-  /// carries a different deployment fingerprint fails loudly with
-  /// FailedPrecondition instead of falling back: silently replaying the full
-  /// journal under a changed deployment is exactly the divergence the
-  /// fingerprint exists to prevent. kNotFound when no checkpoint exists.
-  /// On success \p surviving_rounds holds the retained checkpoint rounds
-  /// (for retention seeding) and unreferenced history files are deleted.
-  /// \p corrupt_skipped (optional) counts the corrupt checkpoints the
-  /// newest-first ladder deleted before finding a usable one — the
-  /// recovery fallback depth surfaced in telemetry.
-  static Result<CheckpointState> LoadForRecovery(
-      const std::string& dir, uint64_t fingerprint,
-      std::vector<int64_t>* surviving_rounds,
-      int* corrupt_skipped = nullptr);
+  /// Finds the newest usable checkpoint for recovery, reading only: tries
+  /// checkpoints newest-first, skipping (and listing) corrupt ones — torn
+  /// frame, CRC failure, malformed body, missing referenced spill file. A
+  /// checkpoint that is structurally VALID but carries a different
+  /// deployment fingerprint fails loudly with FailedPrecondition instead of
+  /// falling back: silently replaying the full journal under a changed
+  /// deployment is exactly the divergence the fingerprint exists to
+  /// prevent. A missing directory finds nothing.
+  static Result<CheckpointRecovery> LoadForRecovery(const std::string& dir,
+                                                    uint64_t fingerprint);
 
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
@@ -121,7 +135,8 @@ class CheckpointManager {
   /// manifest (served file-backed from day one), the surviving checkpoint
   /// rounds (retention), and the scanned journal segments — one vector per
   /// entry of options.journal_dirs — as retirement candidates whose suffix
-  /// the new writers continue.
+  /// the new writers continue. A fresh deployment seeds empty state and
+  /// lists.
   Status SeedRecovered(
       const CheckpointState& state, std::vector<int64_t> surviving_rounds,
       const std::vector<std::vector<ScannedSegment>>& segments_per_journal);
@@ -228,10 +243,10 @@ class CheckpointManager {
   std::deque<int64_t> ready_ GUARDED_BY(mu_);
 
   // Handoff-owned retirement state, deliberately NOT mutex-guarded: after
-  // Open (pre-worker) and SeedRecovered (which verifies the worker is idle
-  // under mu_ — no busy_, no ready_, no pending_ — before touching it),
-  // journals_' candidates/first_live/retired_base_round and retained_rounds_
-  // are owned exclusively by the worker thread, which mutates them with file
+  // SeedRecovered (which verifies the worker is idle under mu_ — no busy_,
+  // no ready_, no pending_ — before touching it), journals_'
+  // candidates/first_live/retired_base_round and retained_rounds_ are owned
+  // exclusively by the worker thread, which mutates them with file
   // I/O interleaved and must not hold mu_ across that. The one exception is
   // each JournalRetireState::writer pointer, which AttachJournals swaps and
   // the worker reads — both under mu_ (GUARDED_BY cannot name the outer

@@ -137,6 +137,15 @@ Status RemoveFile(const std::string& path) {
   return Status::OK();
 }
 
+Status RemoveFiles(const std::string& dir,
+                   const std::vector<std::string>& names) {
+  if (names.empty()) return Status::OK();
+  for (const std::string& name : names) {
+    RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
+  }
+  return SyncDir(dir);
+}
+
 Status RenameFile(const std::string& from, const std::string& to) {
   if (::rename(from.c_str(), to.c_str()) != 0) {
     return Status::IOError(ErrnoMessage("rename", from + " -> " + to));

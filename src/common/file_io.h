@@ -43,6 +43,11 @@ Status TruncateFile(const std::string& path, int64_t size);
 /// \brief Removes the file at \p path.
 Status RemoveFile(const std::string& path);
 
+/// \brief Removes each of \p names from \p dir, then fsyncs \p dir so the
+/// unlinks are durable. No-op for an empty list.
+Status RemoveFiles(const std::string& dir,
+                   const std::vector<std::string>& names);
+
 /// \brief Atomically renames \p from to \p to (same filesystem), replacing
 /// any existing \p to. The caller must SyncDir afterwards for the new name
 /// to survive a crash — rename alone only orders against other metadata.

@@ -63,8 +63,6 @@ const char* JournalEventTypeName(JournalEventType type) {
       return "Quit";
     case JournalEventType::kTick:
       return "Tick";
-    case JournalEventType::kAdvanceTo:
-      return "AdvanceTo";
   }
   return "Unknown";
 }
@@ -142,9 +140,6 @@ void EncodeRecord(const JournalEvent& event, std::string* out) {
       break;
     case JournalEventType::kTick:
       break;
-    case JournalEventType::kAdvanceTo:
-      PutVarint64(ZigzagEncode(event.target_t), &payload);
-      break;
   }
   PutVarint64(payload.size(), out);
   out->append(payload);
@@ -196,15 +191,6 @@ Status DecodeRecord(const char* data, size_t size, size_t* offset,
     case JournalEventType::kTick:
       out.type = JournalEventType::kTick;
       break;
-    case JournalEventType::kAdvanceTo: {
-      out.type = JournalEventType::kAdvanceTo;
-      uint64_t zigzag = 0;
-      if (!GetVarint64(payload, payload_len, &p, &zigzag)) {
-        return Status::InvalidArgument("short AdvanceTo payload");
-      }
-      out.target_t = ZigzagDecode(zigzag);
-      break;
-    }
     default:
       return Status::InvalidArgument("unknown journal event type " +
                                      std::to_string(type_byte));

@@ -7,11 +7,8 @@
 //   Enter(user, point)   the user's stream begins at `point`
 //   Move(user, point)    the user's next report
 //   Quit(user)           the user leaves
-//   Tick                 the open round closed
-//   AdvanceTo(t)         every round up to t closed (codec vocabulary; the
-//                        live session emits one Tick per closed round, but
-//                        readers accept AdvanceTo so compacted or externally
-//                        produced journals can skip idle stretches)
+//   Tick                 the open round closed (IngestSession::AdvanceTo
+//                        journals one Tick per round it closes)
 //
 // Segment layout (see docs/durability.md for the diagram):
 //
@@ -36,7 +33,7 @@
 //   payload = type byte + type-specific fields. User ids are varints;
 //   coordinates are the raw IEEE-754 bit patterns (8 bytes little-endian),
 //   because replay must relocate the *identical* double to reproduce a
-//   byte-identical service. Timestamps are zigzag varints.
+//   byte-identical service.
 //
 // Decoding classifies failures so the reader can tell a torn tail from rot:
 //   kOutOfRange      — the buffer ends mid-record (clean truncation point)
@@ -62,7 +59,6 @@ enum class JournalEventType : uint8_t {
   kMove = 2,
   kQuit = 3,
   kTick = 4,
-  kAdvanceTo = 5,
 };
 
 const char* JournalEventTypeName(JournalEventType type);
@@ -71,7 +67,6 @@ struct JournalEvent {
   JournalEventType type = JournalEventType::kTick;
   uint64_t user = 0;      ///< kEnter / kMove / kQuit
   Point location{};       ///< kEnter / kMove
-  int64_t target_t = 0;   ///< kAdvanceTo
 
   static JournalEvent Enter(uint64_t user, const Point& location) {
     JournalEvent e;
@@ -94,23 +89,13 @@ struct JournalEvent {
     return e;
   }
   static JournalEvent Tick() { return JournalEvent{}; }
-  static JournalEvent AdvanceTo(int64_t t) {
-    JournalEvent e;
-    e.type = JournalEventType::kAdvanceTo;
-    e.target_t = t;
-    return e;
-  }
 
-  /// True for the record kinds that close rounds (the fsync points of
-  /// FsyncPolicy::kEveryRound and the only legal segment-rotation points).
-  bool is_round_boundary() const {
-    return type == JournalEventType::kTick ||
-           type == JournalEventType::kAdvanceTo;
-  }
+  /// True for the record that closes a round (the fsync point of
+  /// FsyncPolicy::kEveryRound and the only legal segment-rotation point).
+  bool is_round_boundary() const { return type == JournalEventType::kTick; }
 
   friend bool operator==(const JournalEvent& a, const JournalEvent& b) {
-    return a.type == b.type && a.user == b.user && a.location == b.location &&
-           a.target_t == b.target_t;
+    return a.type == b.type && a.user == b.user && a.location == b.location;
   }
 };
 

@@ -35,6 +35,7 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
   if (base.ok()) {
     first_surviving_index = base.value().first_surviving_index;
     scan.base_round = base.value().base_round;
+    scan.closed_rounds = scan.base_round;
   } else if (base.status().code() != StatusCode::kNotFound) {
     return base.status();
   }
@@ -83,9 +84,6 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
     }
   }
 
-  // Absolute closed-round cursor across segments, continuing from the
-  // compacted-away prefix.
-  int64_t round_cursor = scan.base_round;
   for (size_t i = 0; i < segments.size(); ++i) {
     const bool last = (i + 1 == segments.size());
     const std::string path = dir + "/" + segments[i].second;
@@ -102,7 +100,8 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
     // can end up mid-journal. No acknowledged record can be lost this way:
     // a segment gets bytes before its successor is ever created.
     if (data.empty()) {
-      scan.segments.push_back(ScannedSegment{segments[i].first, round_cursor});
+      scan.segments.push_back(
+          ScannedSegment{segments[i].first, scan.closed_rounds});
       continue;
     }
 
@@ -130,11 +129,7 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
         if (!st.ok()) break;
         last_record_start = record_start;
         any_records = true;
-        if (event.type == JournalEventType::kTick) {
-          ++round_cursor;
-        } else if (event.type == JournalEventType::kAdvanceTo) {
-          round_cursor = std::max(round_cursor, event.target_t);
-        }
+        if (event.type == JournalEventType::kTick) ++scan.closed_rounds;
         scan.events.push_back(event);
       }
       if (any_records) {
@@ -154,18 +149,10 @@ Result<JournalScan> JournalReader::ScanDir(const std::string& dir) {
       scan.valid_tail_size =
           static_cast<int64_t>(offset < kSegmentHeaderSize ? 0 : offset);
     }
-    scan.segments.push_back(ScannedSegment{segments[i].first, round_cursor});
+    scan.segments.push_back(
+        ScannedSegment{segments[i].first, scan.closed_rounds});
   }
   return scan;
-}
-
-Status JournalReader::RemoveStaleFiles(const std::string& dir,
-                                       const JournalScan& scan) {
-  if (scan.stale_files.empty()) return Status::OK();
-  for (const std::string& name : scan.stale_files) {
-    RETRASYN_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
-  }
-  return SyncDir(dir);
 }
 
 }  // namespace retrasyn

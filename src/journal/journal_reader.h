@@ -44,12 +44,16 @@ struct JournalScan {
   /// BASE file; 0 when the journal was never compacted). The decoded events
   /// continue round numbering from here.
   int64_t base_round = 0;
+  /// Absolute closed rounds durable in this journal: base_round plus every
+  /// decoded round boundary.
+  int64_t closed_rounds = 0;
   /// The surviving segments in index order, each with its absolute end
   /// round. Empty for an empty/missing journal.
   std::vector<ScannedSegment> segments;
   /// Names of the orphaned `*.tmp` files (a crash mid atomic write) and the
   /// segments below the BASE that a crashed compaction left behind. The
-  /// scan skips them but deletes nothing; RemoveStaleFiles does that.
+  /// scan skips them but deletes nothing; recovery removes them (RemoveFiles)
+  /// once it has accepted the journal.
   std::vector<std::string> stale_files;
   /// Deployment fingerprint from the segment headers (all segments must
   /// agree; mismatching segments fail the scan). Meaningless unless
@@ -85,12 +89,6 @@ class JournalReader {
   /// journal leaves it exactly as it was. Callers that mutate the journal
   /// afterwards must hold the `<dir>/LOCK` before scanning.
   static Result<JournalScan> ScanDir(const std::string& dir);
-
-  /// The journal's crash janitor: deletes \p scan's `stale_files` from
-  /// \p dir and fsyncs the directory. Run it only once the journal is
-  /// accepted.
-  static Status RemoveStaleFiles(const std::string& dir,
-                                 const JournalScan& scan);
 };
 
 }  // namespace retrasyn

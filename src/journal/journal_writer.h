@@ -4,7 +4,7 @@
 // (`journal-00000000.wal`, `journal-00000001.wal`, ...), each starting with
 // the versioned header of event_codec.h and followed by framed records.
 // Segments rotate when the current one crosses `segment_bytes`, and only at
-// round boundaries (Tick/AdvanceTo records) — so every segment except the
+// round boundaries (Tick records) — so every segment except the
 // last ends on a closed round, and only the final segment can ever hold a
 // torn tail after a crash.
 //

@@ -349,32 +349,6 @@ size_t IngestSession::num_pending_events() const {
   return n;
 }
 
-IngestStats IngestSession::stats() const {
-  // Pure registry view: every value reads back from the metrics the session
-  // registered at construction (no parallel counter system). The shard lock
-  // only pins pending/accepted to a consistent cut per shard.
-  IngestStats stats;
-  stats.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    MutexLock l(shard->mu);
-    IngestShardStats s;
-    s.events_accepted = shard->accepted_metric->Value();
-    s.events_rejected = shard->rejected_metric->Value();
-    s.pending_events = static_cast<uint64_t>(shard->pending_metric->Value());
-    s.peak_pending_events =
-        static_cast<uint64_t>(shard->peak_pending_metric->Value());
-    s.active_streams = static_cast<uint64_t>(shard->active_metric->Value());
-    stats.shards.push_back(s);
-  }
-  stats.rounds_sealed = rounds_sealed_metric_->Value();
-  stats.entries_merged = entries_merged_metric_->Value();
-  stats.seal_seconds = seal_hist_->SumSeconds();
-  stats.merge_seconds = merge_hist_->SumSeconds();
-  stats.commit_seconds = commit_hist_->SumSeconds();
-  stats.obs_buffers_reused = obs_buffers_reused_metric_->Value();
-  return stats;
-}
-
 void IngestSession::RecycleBatch(TimestampBatch&& batch) {
   MutexLock l(obs_pool_mu_);
   if (obs_pool_.size() >= kMaxPooledObservationBuffers) return;
@@ -438,7 +412,7 @@ SessionCheckpointState IngestSession::SaveCheckpointState() const {
 
 Status IngestSession::RestoreCheckpointState(SessionCheckpointState state) {
   // Restore targets a fresh session, but "fresh" never implied "unobserved":
-  // a monitoring thread polling stats()/num_active_users() during recovery
+  // a monitoring thread polling num_active_users() during recovery
   // read shard->active while this wrote it. Hold every shard for the whole
   // restore, same index-order protocol as Tick().
   ShardLockSet locks(shards_);

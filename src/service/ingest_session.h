@@ -93,36 +93,9 @@ struct IngestSessionOptions {
   /// Service-owned telemetry bundle (not owned; may be null). When attached,
   /// ingest counters register in its registry, Tick() phases land in its
   /// RoundTrace, and boundary poisonings record a first-failure. When null
-  /// the session registers its counters in a private registry so stats()
-  /// stays a registry view either way — one source of truth.
+  /// the counters land in a private registry nobody reads, so the hot path
+  /// records unconditionally.
   Telemetry* telemetry = nullptr;
-};
-
-/// \brief Per-shard ingest counters (IngestStats::shards[i]).
-struct IngestShardStats {
-  uint64_t events_accepted = 0;   ///< events admitted into this shard
-  uint64_t events_rejected = 0;   ///< validation failures
-  uint64_t pending_events = 0;    ///< queue depth: events buffered now
-  uint64_t peak_pending_events = 0;  ///< high-water mark of pending_events
-  uint64_t active_streams = 0;    ///< live streams owned by this shard
-};
-
-/// \brief Lightweight ingest observability: per-shard queue depths plus the
-/// cumulative seal/merge/commit timings of Tick(), so scaling regressions
-/// are diagnosable without a profiler. Snapshot via IngestSession::stats()
-/// (or TrajectoryService::ingest_stats()); consistent when no producer is
-/// concurrently feeding — e.g. after Drain(). Since the telemetry subsystem
-/// landed this struct is a *view over the metrics registry* (the session's
-/// counters live in MetricsRegistry whether or not a service Telemetry is
-/// attached); there is no parallel counter system.
-struct IngestStats {
-  std::vector<IngestShardStats> shards;
-  uint64_t rounds_sealed = 0;      ///< successful Tick() count
-  uint64_t entries_merged = 0;     ///< observations across all sealed rounds
-  double seal_seconds = 0.0;       ///< parallel per-shard seal phase (wall)
-  double merge_seconds = 0.0;      ///< k-way merge + index assignment (wall)
-  double commit_seconds = 0.0;     ///< post-handler state commit (wall)
-  uint64_t obs_buffers_reused = 0;  ///< batches sealed into a recycled buffer
 };
 
 /// \brief Everything a checkpoint needs to reconstruct a session at a round
@@ -229,9 +202,6 @@ class IngestSession {
   /// Events buffered for the open round.
   size_t num_pending_events() const;
 
-  /// Per-shard counters + cumulative Tick phase timings. See IngestStats.
-  IngestStats stats() const;
-
   /// Returns a consumed batch's observation buffer to the seal pool so the
   /// next round seals into it instead of allocating. Called by
   /// the service after the engine observed the batch — from the closer
@@ -323,7 +293,7 @@ class IngestSession {
     /// rounds.
     std::vector<SealedEntry> entries GUARDED_BY(mu);
     /// Registry-backed counters (stable pointers into registry_; set once in
-    /// the constructor). IngestStats reads these — one source of truth.
+    /// the constructor).
     Counter* accepted_metric = nullptr;
     Counter* rejected_metric = nullptr;
     Gauge* pending_metric = nullptr;
@@ -422,7 +392,8 @@ class IngestSession {
 
   // Telemetry plumbing. registry_ always points at a live registry — the
   // service's (options_.telemetry) or the session-private owned_registry_ —
-  // so the Tick-phase aggregates and shard counters have exactly one home.
+  // so the hot path records the Tick-phase aggregates and shard counters
+  // without a null check.
   // trace_/telemetry_ stay null when detached; those paths are skipped.
   Telemetry* telemetry_ = nullptr;
   std::unique_ptr<MetricsRegistry> owned_registry_;

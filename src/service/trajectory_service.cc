@@ -122,52 +122,6 @@ std::vector<JournalWriter*> RawJournals(
   return raw;
 }
 
-/// Refuses a journal whose on-disk layout contradicts the configured shard
-/// count — an unsharded journal under ingest_shards > 1, shard
-/// subdirectories under ingest_shards == 1, or a shard subdirectory beyond
-/// the configured count. A wrong-layout scan would find zero segments and
-/// silently recover an empty service; this fails loudly instead (the
-/// fingerprint also records the shard count, but it cannot protect a scan
-/// that never reads a segment header).
-Status CheckJournalLayout(const std::string& root, int ingest_shards) {
-  auto files = ListDirectory(root);
-  if (!files.ok()) {
-    if (files.status().code() == StatusCode::kNotFound) return Status::OK();
-    return files.status();
-  }
-  for (const std::string& name : files.value()) {
-    uint64_t segment = 0;
-    if (ingest_shards > 1 &&
-        JournalWriter::ParseSegmentFileName(name, &segment)) {
-      return Status::FailedPrecondition(
-          "journal dir " + root + " holds an unsharded journal (" + name +
-          ") but the service is configured with ingest_shards = " +
-          std::to_string(ingest_shards) +
-          "; recover under the shard count that wrote it");
-    }
-  }
-  auto dirs = ListSubdirectories(root);
-  if (!dirs.ok()) return dirs.status();
-  for (const std::string& name : dirs.value()) {
-    int shard = 0;
-    if (!ParseShardJournalDirName(name, &shard)) continue;
-    if (ingest_shards == 1) {
-      return Status::FailedPrecondition(
-          "journal dir " + root + " holds a sharded journal (" + name +
-          ") but the service is configured unsharded (ingest_shards = 1); "
-          "recover under the shard count that wrote it");
-    }
-    if (shard >= ingest_shards) {
-      return Status::FailedPrecondition(
-          "journal dir " + root + " holds " + name +
-          " but the service is configured with only ingest_shards = " +
-          std::to_string(ingest_shards) +
-          "; recover under the shard count that wrote it");
-    }
-  }
-  return Status::OK();
-}
-
 JournalOptions JournalOptionsFor(const ServiceOptions& options,
                                  uint64_t fingerprint) {
   JournalOptions journal;
@@ -175,56 +129,6 @@ JournalOptions JournalOptionsFor(const ServiceOptions& options,
   journal.segment_bytes = options.journal_segment_bytes;
   journal.fingerprint = fingerprint;
   return journal;
-}
-
-/// Opens the journal writers for \p options when journaling is enabled —
-/// one per ingest shard; an empty vector (OK) when it is not.
-/// \p require_fresh rejects a directory that already holds any journal,
-/// flat or sharded (the Create factories must not append to a journal they
-/// did not replay — Recover owns that path).
-Result<std::vector<std::unique_ptr<JournalWriter>>> MaybeOpenJournals(
-    const ServiceOptions& options, bool require_fresh, uint64_t fingerprint) {
-  std::vector<std::unique_ptr<JournalWriter>> journals;
-  if (options.journal_dir.empty()) {
-    return journals;
-  }
-  if (require_fresh) {
-    auto names = ListDirectory(options.journal_dir);
-    if (names.ok()) {
-      for (const std::string& name : names.value()) {
-        uint64_t index = 0;
-        if (JournalWriter::ParseSegmentFileName(name, &index)) {
-          return Status::FailedPrecondition(
-              "journal dir " + options.journal_dir +
-              " already holds a journal (" + name +
-              "); use TrajectoryService::Recover to resume it");
-        }
-      }
-      auto dirs = ListSubdirectories(options.journal_dir);
-      if (!dirs.ok()) return dirs.status();
-      for (const std::string& name : dirs.value()) {
-        int shard = 0;
-        if (ParseShardJournalDirName(name, &shard)) {
-          return Status::FailedPrecondition(
-              "journal dir " + options.journal_dir +
-              " already holds a journal (" + name +
-              "); use TrajectoryService::Recover to resume it");
-        }
-      }
-    } else if (names.status().code() != StatusCode::kNotFound) {
-      return names.status();
-    }
-  }
-  // A sharded layout nests one journal directory per shard under the root;
-  // the root itself must exist before the per-shard opens create theirs.
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
-  const JournalOptions journal = JournalOptionsFor(options, fingerprint);
-  for (const std::string& dir : JournalDirsFor(options)) {
-    auto writer = JournalWriter::Open(dir, journal);
-    if (!writer.ok()) return writer.status();
-    journals.push_back(std::move(writer).value());
-  }
-  return journals;
 }
 
 /// The checkpoint subsystem's options from the service's: the same
@@ -248,9 +152,14 @@ CheckpointOptions CheckpointOptionsFor(const ServiceOptions& options,
   return checkpoint;
 }
 
-/// Every argument check of the factories. Runs before the first
-/// filesystem call, so a refused Create/Recover leaves the tree untouched.
-/// Checkpointing serializes the engine's dense state, which only a
+// --- The read-only plan steps ----------------------------------------------
+//
+// Each step reads the directories and either refuses or records what the
+// apply step must do. None of them creates, truncates or deletes a file, so
+// a refusal at any step leaves the tree exactly as it found it.
+
+/// Every argument check of the factories, run before the first filesystem
+/// call. Checkpointing serializes the engine's dense state, which only a
 /// RetraSynEngine can do; a custom engine must keep the full-replay model.
 Status CheckOpenArgs(const StreamReleaseEngine* engine,
                      const ServiceOptions& options) {
@@ -267,33 +176,384 @@ Status CheckOpenArgs(const StreamReleaseEngine* engine,
   return Status::OK();
 }
 
-/// Opens the checkpoint manager when checkpointing is enabled; nullptr (OK)
-/// when it is not. Runs BEFORE the journal writer opens so a stale
-/// checkpoint directory is refused without leaving a fresh journal segment
-/// behind.
-Result<std::unique_ptr<CheckpointManager>> MaybeOpenCheckpoints(
-    const ServiceOptions& options, const StateSpace& states,
-    const StreamReleaseEngine& engine, uint64_t fingerprint,
-    bool require_fresh) {
-  if (options.checkpoint_every_rounds <= 0) {
-    return std::unique_ptr<CheckpointManager>();
+/// Refuses a journal whose on-disk layout contradicts the configured shard
+/// count — an unsharded journal under ingest_shards > 1, shard
+/// subdirectories under ingest_shards == 1, or a shard subdirectory beyond
+/// the configured count. A wrong-layout scan would find zero segments and
+/// silently recover an empty service; this fails loudly instead (the
+/// fingerprint also records the shard count, but it cannot protect a scan
+/// that never reads a segment header). A missing root counts as empty.
+/// \p existing_journal receives the first segment file or shard directory
+/// the root holds (empty when it holds none).
+Status CheckJournalLayout(const std::string& root, int ingest_shards,
+                          std::string* existing_journal) {
+  auto files = ListDirectory(root);
+  if (!files.ok()) {
+    if (files.status().code() == StatusCode::kNotFound) return Status::OK();
+    return files.status();
   }
-  return CheckpointManager::Open(
-      CheckpointOptionsFor(options, fingerprint, states.grid().Describe(),
-                           engine.stream_index_reuse_window()),
-      require_fresh);
+  for (const std::string& name : files.value()) {
+    uint64_t segment = 0;
+    if (!JournalWriter::ParseSegmentFileName(name, &segment)) continue;
+    if (ingest_shards > 1) {
+      return Status::FailedPrecondition(
+          "journal dir " + root + " holds an unsharded journal (" + name +
+          ") but the service is configured with ingest_shards = " +
+          std::to_string(ingest_shards) +
+          "; recover under the shard count that wrote it");
+    }
+    if (existing_journal->empty()) *existing_journal = name;
+  }
+  auto dirs = ListSubdirectories(root);
+  if (!dirs.ok()) return dirs.status();
+  for (const std::string& name : dirs.value()) {
+    int shard = 0;
+    if (!ParseShardJournalDirName(name, &shard)) continue;
+    if (ingest_shards == 1) {
+      return Status::FailedPrecondition(
+          "journal dir " + root + " holds a sharded journal (" + name +
+          ") but the service is configured unsharded (ingest_shards = 1); "
+          "recover under the shard count that wrote it");
+    }
+    if (shard >= ingest_shards) {
+      return Status::FailedPrecondition(
+          "journal dir " + root + " holds " + name +
+          " but the service is configured with only ingest_shards = " +
+          std::to_string(ingest_shards) +
+          "; recover under the shard count that wrote it");
+    }
+    if (existing_journal->empty()) *existing_journal = name;
+  }
+  return Status::OK();
+}
+
+/// Takes the writer lock of every existing shard directory, then scans it
+/// and checks its fingerprint. The lock comes BEFORE the scan: if the
+/// crashed process is in fact still alive and appending (a supervisor
+/// restart race), reading its segments mid-write would misdiagnose a torn
+/// tail and truncate away durably acknowledged records. Directories that do
+/// not exist yet keep an unheld lock and an empty scan; apply creates them.
+Status LockAndScanJournals(const std::vector<std::string>& dirs,
+                           uint64_t fingerprint, std::vector<FileLock>* locks,
+                           std::vector<JournalScan>* scans) {
+  locks->resize(dirs.size());
+  scans->resize(dirs.size());
+  for (size_t s = 0; s < dirs.size(); ++s) {
+    auto probe = ListDirectory(dirs[s]);
+    if (!probe.ok()) {
+      if (probe.status().code() == StatusCode::kNotFound) continue;
+      return probe.status();
+    }
+    auto lock = FileLock::Acquire(dirs[s] + "/" + JournalWriter::kLockFileName);
+    if (!lock.ok()) return lock.status();
+    (*locks)[s] = std::move(lock).value();
+    auto scan = JournalReader::ScanDir(dirs[s]);
+    if (!scan.ok()) return scan.status();
+    if (scan.value().has_fingerprint &&
+        scan.value().fingerprint != fingerprint) {
+      return Status::FailedPrecondition(
+          "journal in " + dirs[s] +
+          " was written by a different deployment (state space / engine "
+          "config / shard count changed); replaying it here would silently "
+          "diverge");
+    }
+    (*scans)[s] = std::move(scan).value();
+  }
+  return Status::OK();
+}
+
+/// One shard journal's orphaned trailing round boundary: apply removes the
+/// segments after the boundary's segment, then cuts the boundary record.
+struct SkewDrop {
+  std::string dir;
+  std::vector<std::string> later_segments;  ///< names under dir
+  std::string boundary_segment;             ///< path
+  int64_t boundary_offset = 0;
+};
+
+/// Durable rounds for the deployment = the minimum across shards: a round
+/// only counts once its boundary reached every shard's journal. A shard can
+/// be at most one boundary ahead — a crash or I/O failure between the
+/// per-shard boundary appends, after which the session refuses every event —
+/// so the orphaned trailing boundary (and the header-only segment a rotation
+/// may have opened right after it) is dropped, restoring the
+/// all-journals-agree invariant before the new writers append a byte.
+/// Anything else is real inter-journal corruption. Each drop is recorded in
+/// \p drops and applied to \p scans in memory, so the scans read as a rescan
+/// of the repaired journals would. Returns the durable minimum.
+Result<int64_t> PlanSkewDrops(const std::vector<std::string>& dirs,
+                              std::vector<JournalScan>* scans,
+                              std::vector<SkewDrop>* drops) {
+  int64_t durable = scans->front().closed_rounds;
+  for (const JournalScan& scan : *scans) {
+    durable = std::min(durable, scan.closed_rounds);
+  }
+  for (size_t s = 0; s < scans->size(); ++s) {
+    JournalScan& scan = (*scans)[s];
+    if (scan.closed_rounds == durable) continue;
+    if (scan.closed_rounds - durable > 1 || scan.events.empty() ||
+        scan.events.back().type != JournalEventType::kTick) {
+      return Status::IOError(
+          "journal in " + dirs[s] + " closed " +
+          std::to_string(scan.closed_rounds - durable) +
+          " round(s) its sibling shards never did; the shard journals are "
+          "inconsistent beyond the single-boundary skew a crash can cause");
+    }
+    SkewDrop drop;
+    drop.dir = dirs[s];
+    drop.boundary_segment = scan.last_record_segment;
+    drop.boundary_offset = scan.last_record_offset;
+    const std::string segment_name = drop.boundary_segment.substr(
+        drop.boundary_segment.find_last_of('/') + 1);
+    uint64_t boundary_index = 0;
+    if (!JournalWriter::ParseSegmentFileName(segment_name, &boundary_index)) {
+      return Status::Internal("unparseable journal segment path " +
+                              drop.boundary_segment);
+    }
+    while (scan.segments.back().index > boundary_index) {
+      drop.later_segments.push_back(
+          JournalWriter::SegmentFileName(scan.segments.back().index));
+      scan.segments.pop_back();
+    }
+    --scan.segments.back().end_round;
+    scan.events.pop_back();
+    --scan.closed_rounds;
+    drops->push_back(std::move(drop));
+  }
+  return durable;
+}
+
+/// The checkpoint choice and every coverage refusal: a checkpoint captured
+/// under a different grid, a compacted journal with no usable checkpoint,
+/// and a checkpoint older than the compaction base. Returns the first round
+/// replay feeds — the checkpoint's round, else 0 (full replay).
+Result<int64_t> ResumeRound(const ServiceOptions& options,
+                            const StateSpace& states,
+                            const CheckpointRecovery& checkpoint,
+                            const std::vector<JournalScan>& scans) {
+  int64_t max_base = 0;
+  for (const JournalScan& scan : scans) {
+    max_base = std::max(max_base, scan.base_round);
+  }
+  if (!checkpoint.found) {
+    if (max_base > 0) {
+      return Status::IOError(
+          "journal in " + options.journal_dir + " was compacted past round " +
+          std::to_string(max_base) +
+          " but no usable checkpoint covers the retired prefix (checkpoint "
+          "directory missing, wiped, or checkpointing disabled); the service "
+          "cannot be reconstructed");
+    }
+    return 0;
+  }
+  // The fingerprint gate already hashes the grid description; comparing the
+  // round-tripped bytes verbatim keeps recovery honest even against a
+  // (hypothetical) hash collision and gives the refusal a precise message.
+  if (checkpoint.state.grid_describe != states.grid().Describe()) {
+    return Status::FailedPrecondition(
+        "checkpoint in " + options.checkpoint_dir +
+        " was captured under a different spatial grid than the running "
+        "deployment (" + states.grid().ToString() +
+        "); recovery under a changed discretization is refused");
+  }
+  if (checkpoint.state.round < max_base) {
+    return Status::IOError(
+        "newest usable checkpoint (round " +
+        std::to_string(checkpoint.state.round) +
+        ") predates the journal's compaction base (round " +
+        std::to_string(max_base) +
+        "); the rounds between them are unrecoverable");
+  }
+  return checkpoint.state.round;
 }
 
 }  // namespace
 
+/// What opening a deployment found on disk and what it will do about it.
+/// Plan() builds it by reading only; Apply() performs every write.
+struct TrajectoryService::OpenPlan {
+  uint64_t fingerprint = 0;
+  /// One journal directory per ingest shard; empty when journaling is off.
+  std::vector<std::string> dirs;
+  /// Per dir: its writer lock, held when the directory already existed.
+  std::vector<FileLock> locks;
+  /// Per dir: the scan, reading as the journal will once cleaned up.
+  std::vector<JournalScan> scans;
+  std::vector<SkewDrop> skew_drops;
+  CheckpointRecovery checkpoint;  ///< checkpointing configured only
+  /// Replay restores the checkpoint (if any), skips rounds before
+  /// resume_round and closes rounds up to durable_rounds.
+  int64_t resume_round = 0;
+  int64_t durable_rounds = 0;
+
+  /// Under OpenMode::kCreate, refuses anything a Recover would resume (a
+  /// segment file, a shard-NNN directory, a checkpoint or a history file)
+  /// as soon as the step that lists it finds it.
+  static Result<OpenPlan> Plan(const StateSpace& states,
+                               const StreamReleaseEngine* engine,
+                               const ServiceOptions& options,
+                               const RetraSynConfig* config, OpenMode mode);
+  /// Apply step 1: the crash janitor, torn tails, skew drops and stale
+  /// checkpoint files.
+  Status CleanUp(const ServiceOptions& options) const;
+  /// Apply steps 1-5.
+  Result<std::unique_ptr<TrajectoryService>> Apply(
+      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+      const ServiceOptions& options) &&;
+};
+
+Result<TrajectoryService::OpenPlan> TrajectoryService::OpenPlan::Plan(
+    const StateSpace& states, const StreamReleaseEngine* engine,
+    const ServiceOptions& options, const RetraSynConfig* config,
+    OpenMode mode) {
+  RETRASYN_RETURN_NOT_OK(CheckOpenArgs(engine, options));
+  if (mode == OpenMode::kRecover && options.journal_dir.empty()) {
+    return Status::InvalidArgument("Recover requires a journal_dir");
+  }
+  OpenPlan plan;
+  plan.fingerprint = FingerprintFor(states, *engine, options, config);
+  plan.dirs = JournalDirsFor(options);
+  if (!plan.dirs.empty()) {
+    std::string existing_journal;
+    RETRASYN_RETURN_NOT_OK(CheckJournalLayout(
+        options.journal_dir, options.ingest_shards, &existing_journal));
+    if (mode == OpenMode::kCreate && !existing_journal.empty()) {
+      return Status::FailedPrecondition(
+          "journal dir " + options.journal_dir + " already holds a journal (" +
+          existing_journal + "); use TrajectoryService::Recover to resume it");
+    }
+    RETRASYN_RETURN_NOT_OK(LockAndScanJournals(plan.dirs, plan.fingerprint,
+                                               &plan.locks, &plan.scans));
+    auto durable = PlanSkewDrops(plan.dirs, &plan.scans, &plan.skew_drops);
+    if (!durable.ok()) return durable.status();
+    plan.durable_rounds = durable.value();
+  }
+  if (options.checkpoint_every_rounds > 0) {
+    auto checkpoint = CheckpointManager::LoadForRecovery(
+        options.checkpoint_dir, plan.fingerprint);
+    if (!checkpoint.ok()) return checkpoint.status();
+    if (mode == OpenMode::kCreate && checkpoint.value().holds_state) {
+      return Status::FailedPrecondition(
+          "checkpoint directory " + options.checkpoint_dir +
+          " already holds checkpoints; Recover the existing deployment or "
+          "point the new one elsewhere");
+    }
+    plan.checkpoint = std::move(checkpoint).value();
+  }
+  auto resume = ResumeRound(options, states, plan.checkpoint, plan.scans);
+  if (!resume.ok()) return resume.status();
+  plan.resume_round = resume.value();
+  return plan;
+}
+
+Status TrajectoryService::OpenPlan::CleanUp(
+    const ServiceOptions& options) const {
+  for (size_t s = 0; s < dirs.size(); ++s) {
+    RETRASYN_RETURN_NOT_OK(RemoveFiles(dirs[s], scans[s].stale_files));
+    if (scans[s].torn) {
+      // Cut the torn tail physically so the on-disk journal is clean before
+      // a single new byte is appended after it.
+      RETRASYN_RETURN_NOT_OK(
+          TruncateFile(scans[s].torn_segment, scans[s].valid_tail_size));
+    }
+  }
+  for (const SkewDrop& drop : skew_drops) {
+    RETRASYN_RETURN_NOT_OK(RemoveFiles(drop.dir, drop.later_segments));
+    RETRASYN_RETURN_NOT_OK(
+        TruncateFile(drop.boundary_segment, drop.boundary_offset));
+  }
+  return RemoveFiles(options.checkpoint_dir, checkpoint.stale_files);
+}
+
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::OpenPlan::Apply(
+    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
+    const ServiceOptions& options) && {
+  // 1. Clean up what the plan found.
+  RETRASYN_RETURN_NOT_OK(CleanUp(options));
+
+  // 2. Replay inline: the closer stays un-armed even under kAsync and no
+  //    journal is attached, so replayed events are not re-journaled. With a
+  //    checkpoint, restore its state first and replay only the journal
+  //    suffix behind its round.
+  std::unique_ptr<TrajectoryService> service(
+      new TrajectoryService(states, std::move(engine), options));
+  if (checkpoint.found) {
+    RETRASYN_RETURN_NOT_OK(service->retrasyn_->RestoreCheckpointState(
+        std::move(checkpoint.state.engine)));
+    RETRASYN_RETURN_NOT_OK(service->session_->RestoreCheckpointState(
+        std::move(checkpoint.state.session)));
+  }
+  RETRASYN_RETURN_NOT_OK(
+      service->ReplayJournals(scans, resume_round, durable_rounds));
+
+  // 3. Async closing per the config.
+  if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
+
+  // 4. The journal writers, which adopt the held locks and continue in
+  //    fresh segments after the replayed ones (their round accounting
+  //    continues from the replayed total). A sharded layout nests one
+  //    journal directory per shard under the root, so the root comes first.
+  if (!dirs.empty()) {
+    RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
+  }
+  const JournalOptions journal_options =
+      JournalOptionsFor(options, fingerprint);
+  for (size_t s = 0; s < dirs.size(); ++s) {
+    if (!locks[s].held()) {
+      RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(dirs[s]));
+      auto lock =
+          FileLock::Acquire(dirs[s] + "/" + JournalWriter::kLockFileName);
+      if (!lock.ok()) return lock.status();
+      locks[s] = std::move(lock).value();
+    }
+    auto writer = JournalWriter::OpenLocked(dirs[s], journal_options,
+                                            std::move(locks[s]));
+    if (!writer.ok()) return writer.status();
+    writer.value()->set_base_round(service->rounds_closed());
+    writer.value()->AttachTelemetry(service->telemetry_.get());
+    service->journals_.push_back(std::move(writer).value());
+  }
+  if (!service->journals_.empty()) {
+    service->session_->AttachJournals(RawJournals(service->journals_));
+  }
+  if (service->telemetry_ != nullptr) {
+    // The recovery fallback-ladder depth: how many corrupt checkpoints the
+    // plan skipped before finding a usable one (0 after Create, on a clean
+    // recovery, or when checkpointing is off).
+    service->telemetry_->registry()
+        .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
+                  "Corrupt checkpoints deleted by the last recovery's "
+                  "newest-first fallback ladder")
+        ->Set(checkpoint.corrupt_skipped);
+  }
+
+  // 5. The checkpoint subsystem, seeded with the recovered manifest, the
+  //    surviving checkpoints, and the scanned segments (its future
+  //    retirement candidates, per shard journal).
+  if (options.checkpoint_every_rounds > 0) {
+    auto manager = CheckpointManager::Open(CheckpointOptionsFor(
+        options, fingerprint, states.grid().Describe(),
+        service->engine_->stream_index_reuse_window()));
+    if (!manager.ok()) return manager.status();
+    service->checkpoint_ = std::move(manager).value();
+    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
+    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
+    std::vector<std::vector<ScannedSegment>> segments_per_journal;
+    segments_per_journal.reserve(scans.size());
+    for (const JournalScan& scan : scans) {
+      segments_per_journal.push_back(scan.segments);
+    }
+    RETRASYN_RETURN_NOT_OK(service->checkpoint_->SeedRecovered(
+        checkpoint.state, std::move(checkpoint.surviving_rounds),
+        segments_per_journal));
+  }
+  return service;
+}
+
 TrajectoryService::TrajectoryService(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-    const ServiceOptions& options,
-    std::vector<std::unique_ptr<JournalWriter>> journals,
-    bool defer_async_closer)
-    : states_(&states),
-      engine_(std::move(engine)),
-      journals_(std::move(journals)) {
+    const ServiceOptions& options)
+    : states_(&states), engine_(std::move(engine)) {
   retrasyn_ = dynamic_cast<RetraSynEngine*>(engine_.get());
   if (options.enable_telemetry) {
     telemetry_ = std::make_unique<Telemetry>();
@@ -306,9 +566,6 @@ TrajectoryService::TrajectoryService(
         "Sink fan-out for one round's release");
     trace_ = &telemetry_->trace();
     engine_->AttachTelemetry(telemetry_.get());
-    for (std::unique_ptr<JournalWriter>& journal : journals_) {
-      journal->AttachTelemetry(telemetry_.get());
-    }
   }
   IngestSessionOptions session_options;
   session_options.reuse_window = engine_->stream_index_reuse_window();
@@ -317,7 +574,6 @@ TrajectoryService::TrajectoryService(
   session_ = std::make_unique<IngestSession>(
       states, [this](TimestampBatch batch) { return OnRound(std::move(batch)); },
       session_options);
-  if (!journals_.empty()) session_->AttachJournals(RawJournals(journals_));
   if (options.checkpoint_every_rounds > 0) {
     // The session half of a due checkpoint, captured on the ingest thread the
     // moment the round boundary is durable in the journal (the hook only
@@ -330,9 +586,6 @@ TrajectoryService::TrajectoryService(
                                       session_->SaveCheckpointState());
       }
     });
-  }
-  if (options.sync_policy == SyncPolicy::kAsync && !defer_async_closer) {
-    ArmCloser(options);
   }
 }
 
@@ -393,295 +646,36 @@ Status ServiceOptions::Validate() const {
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  return OpenFresh(states, std::make_unique<RetraSynEngine>(states, config),
-                   config, &config);
+  return Open(states, std::make_unique<RetraSynEngine>(states, config), config,
+              &config, OpenMode::kCreate);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Create(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  return OpenFresh(states, std::move(engine), options, nullptr);
+  return Open(states, std::move(engine), options, nullptr, OpenMode::kCreate);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
     const StateSpace& states, const RetraSynConfig& config) {
   RETRASYN_RETURN_NOT_OK(config.Validate());
-  return RecoverImpl(states, std::make_unique<RetraSynEngine>(states, config),
-                     config, &config);
+  return Open(states, std::make_unique<RetraSynEngine>(states, config), config,
+              &config, OpenMode::kRecover);
 }
 
 Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Recover(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
     const ServiceOptions& options) {
-  return RecoverImpl(states, std::move(engine), options, nullptr);
+  return Open(states, std::move(engine), options, nullptr, OpenMode::kRecover);
 }
 
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::OpenFresh(
+Result<std::unique_ptr<TrajectoryService>> TrajectoryService::Open(
     const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-    const ServiceOptions& options, const RetraSynConfig* config) {
-  RETRASYN_RETURN_NOT_OK(CheckOpenArgs(engine.get(), options));
-  const uint64_t fingerprint = FingerprintFor(states, *engine, options, config);
-  auto checkpoint = MaybeOpenCheckpoints(options, states, *engine, fingerprint,
-                                         /*require_fresh=*/true);
-  if (!checkpoint.ok()) return checkpoint.status();
-  auto journals =
-      MaybeOpenJournals(options, /*require_fresh=*/true, fingerprint);
-  if (!journals.ok()) return journals.status();
-  std::unique_ptr<TrajectoryService> service(new TrajectoryService(
-      states, std::move(engine), options, std::move(journals).value()));
-  if (checkpoint.value() != nullptr) {
-    service->checkpoint_ = std::move(checkpoint).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-  }
-  return service;
-}
-
-Result<std::unique_ptr<TrajectoryService>> TrajectoryService::RecoverImpl(
-    const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-    const ServiceOptions& options, const RetraSynConfig* config) {
-  // Every argument check comes first: a refused Recover must not create,
-  // truncate or repair anything.
-  RETRASYN_RETURN_NOT_OK(CheckOpenArgs(engine.get(), options));
-  if (options.journal_dir.empty()) {
-    return Status::InvalidArgument("Recover requires a journal_dir");
-  }
-  const uint64_t fingerprint = FingerprintFor(states, *engine, options, config);
-
-  // Refuse a layout that contradicts the configured shard count before a
-  // single record is read.
-  RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(options.journal_dir));
-  RETRASYN_RETURN_NOT_OK(
-      CheckJournalLayout(options.journal_dir, options.ingest_shards));
-  const std::vector<std::string> dirs = JournalDirsFor(options);
-
-  // Take every existing shard's writer lock BEFORE the scans: if the
-  // crashed process is in fact still alive and appending (a supervisor
-  // restart race), reading its segments mid-write would misdiagnose a torn
-  // tail and truncate away durably acknowledged records. Directories that
-  // do not exist yet are NOT created here — a Recover that is about to be
-  // refused (wrong fingerprint, wrong layout) must leave the directory tree
-  // exactly as it found it. The scans are read-only for the same reason;
-  // the cleanup and truncation wait until every shard passed the
-  // fingerprint check.
-  std::vector<FileLock> locks(dirs.size());
-  std::vector<bool> existed(dirs.size(), false);
-  std::vector<JournalScan> scans(dirs.size());
-  for (size_t s = 0; s < dirs.size(); ++s) {
-    auto probe = ListDirectory(dirs[s]);
-    if (!probe.ok()) {
-      if (probe.status().code() == StatusCode::kNotFound) continue;
-      return probe.status();
-    }
-    existed[s] = true;
-    auto lock = FileLock::Acquire(dirs[s] + "/" + JournalWriter::kLockFileName);
-    if (!lock.ok()) return lock.status();
-    locks[s] = std::move(lock).value();
-    auto scan_result = JournalReader::ScanDir(dirs[s]);
-    if (!scan_result.ok()) return scan_result.status();
-    JournalScan scan = std::move(scan_result).value();
-    if (scan.has_fingerprint && scan.fingerprint != fingerprint) {
-      return Status::FailedPrecondition(
-          "journal in " + dirs[s] +
-          " was written by a different deployment (state space / engine "
-          "config / shard count changed); replaying it here would silently "
-          "diverge");
-    }
-    scans[s] = std::move(scan);
-  }
-  for (size_t s = 0; s < dirs.size(); ++s) {
-    RETRASYN_RETURN_NOT_OK(JournalReader::RemoveStaleFiles(dirs[s], scans[s]));
-    if (scans[s].torn) {
-      // Cut the torn tail physically so the on-disk journal is clean before
-      // a single new byte is appended after it.
-      RETRASYN_RETURN_NOT_OK(
-          TruncateFile(scans[s].torn_segment, scans[s].valid_tail_size));
-    }
-  }
-
-  // Rounds durable in one scanned shard journal.
-  auto closed_rounds = [](const JournalScan& scan) {
-    int64_t round = scan.base_round;
-    for (const JournalEvent& e : scan.events) {
-      if (e.type == JournalEventType::kTick) {
-        ++round;
-      } else if (e.type == JournalEventType::kAdvanceTo) {
-        round = std::max(round, e.target_t);
-      }
-    }
-    return round;
-  };
-
-  // Durable rounds for the deployment = the minimum across shards: a round
-  // only counts once its boundary reached every shard's journal. A shard
-  // can be at most one boundary ahead — a crash or I/O failure between the
-  // per-shard boundary appends, after which the session refuses every
-  // event — so the orphaned trailing boundary is dropped physically (and
-  // the header-only segment a rotation may have opened right after it),
-  // restoring the all-journals-agree invariant before the new writers
-  // append a byte. Anything else is real inter-journal corruption.
-  int64_t min_closed = closed_rounds(scans.front());
-  for (const JournalScan& scan : scans) {
-    min_closed = std::min(min_closed, closed_rounds(scan));
-  }
-  for (size_t s = 0; s < scans.size(); ++s) {
-    int drops = 0;
-    while (closed_rounds(scans[s]) > min_closed) {
-      if (++drops > 1 || scans[s].events.empty() ||
-          scans[s].events.back().type != JournalEventType::kTick) {
-        return Status::IOError(
-            "journal in " + dirs[s] + " closed " +
-            std::to_string(closed_rounds(scans[s]) - min_closed) +
-            " round(s) its sibling shards never did; the shard journals are "
-            "inconsistent beyond the single-boundary skew a crash can cause");
-      }
-      const std::string& segment_path = scans[s].last_record_segment;
-      const std::string segment_name =
-          segment_path.substr(segment_path.find_last_of('/') + 1);
-      uint64_t boundary_segment = 0;
-      if (!JournalWriter::ParseSegmentFileName(segment_name,
-                                               &boundary_segment)) {
-        return Status::Internal("unparseable journal segment path " +
-                                segment_path);
-      }
-      bool removed = false;
-      for (const ScannedSegment& segment : scans[s].segments) {
-        if (segment.index > boundary_segment) {
-          RETRASYN_RETURN_NOT_OK(RemoveFile(
-              dirs[s] + "/" + JournalWriter::SegmentFileName(segment.index)));
-          removed = true;
-        }
-      }
-      if (removed) RETRASYN_RETURN_NOT_OK(SyncDir(dirs[s]));
-      RETRASYN_RETURN_NOT_OK(
-          TruncateFile(segment_path, scans[s].last_record_offset));
-      auto rescan = JournalReader::ScanDir(dirs[s]);
-      if (!rescan.ok()) return rescan.status();
-      scans[s] = std::move(rescan).value();
-    }
-  }
-
-  // Load the newest usable checkpoint (checkpointing configured only). A
-  // structurally valid checkpoint under the wrong fingerprint fails loudly
-  // here — never a silent fall-through to full replay.
-  CheckpointState ckpt;
-  bool have_checkpoint = false;
-  std::vector<int64_t> surviving;
-  int corrupt_skipped = 0;
-  if (options.checkpoint_every_rounds > 0) {
-    auto loaded = CheckpointManager::LoadForRecovery(options.checkpoint_dir,
-                                                     fingerprint, &surviving,
-                                                     &corrupt_skipped);
-    if (loaded.ok()) {
-      ckpt = std::move(loaded).value();
-      // The fingerprint gate above already hashes the grid description;
-      // comparing the round-tripped bytes verbatim keeps recovery honest
-      // even against a (hypothetical) hash collision and gives the refusal
-      // a precise message.
-      if (ckpt.grid_describe != states.grid().Describe()) {
-        return Status::FailedPrecondition(
-            "checkpoint in " + options.checkpoint_dir +
-            " was captured under a different spatial grid than the running "
-            "deployment (" + states.grid().ToString() +
-            "); recovery under a changed discretization is refused");
-      }
-      have_checkpoint = true;
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      return loaded.status();
-    }
-  }
-  int64_t max_base = 0;
-  for (const JournalScan& scan : scans) {
-    max_base = std::max(max_base, scan.base_round);
-  }
-  if (!have_checkpoint && max_base > 0) {
-    return Status::IOError(
-        "journal in " + options.journal_dir + " was compacted past round " +
-        std::to_string(max_base) +
-        " but no usable checkpoint covers the retired prefix (checkpoint "
-        "directory missing, wiped, or checkpointing disabled); the service "
-        "cannot be reconstructed");
-  }
-  if (have_checkpoint && ckpt.round < max_base) {
-    return Status::IOError(
-        "newest usable checkpoint (round " + std::to_string(ckpt.round) +
-        ") predates the journal's compaction base (round " +
-        std::to_string(max_base) +
-        "); the rounds between them are unrecoverable");
-  }
-
-  // Replay inline — the closer stays un-armed even under kAsync, and the
-  // journals stay detached so replayed events are not re-journaled. With a
-  // checkpoint, restore its state first and replay only the journal suffix
-  // behind its round.
-  std::unique_ptr<TrajectoryService> service(
-      new TrajectoryService(states, std::move(engine), options,
-                            /*journals=*/{}, /*defer_async_closer=*/true));
-  int64_t resume_round = max_base;
-  if (have_checkpoint) {
-    resume_round = ckpt.round;
-    RETRASYN_RETURN_NOT_OK(service->retrasyn_->RestoreCheckpointState(
-        std::move(ckpt.engine)));
-    RETRASYN_RETURN_NOT_OK(
-        service->session_->RestoreCheckpointState(std::move(ckpt.session)));
-  }
-  RETRASYN_RETURN_NOT_OK(
-      service->ReplayJournals(scans, resume_round, min_closed));
-
-  // Re-arm: async closing per the config, then the journal writers, which
-  // adopt the held locks and continue in fresh segments after the replayed
-  // ones (their round accounting continues from the replayed total).
-  if (options.sync_policy == SyncPolicy::kAsync) service->ArmCloser(options);
-  const JournalOptions journal_options =
-      JournalOptionsFor(options, fingerprint);
-  for (size_t s = 0; s < dirs.size(); ++s) {
-    if (!existed[s]) {
-      // Deferred until every validation passed: a refused Recover must not
-      // scatter fresh shard directories under the journal root.
-      RETRASYN_RETURN_NOT_OK(CreateDirIfMissing(dirs[s]));
-      auto lock =
-          FileLock::Acquire(dirs[s] + "/" + JournalWriter::kLockFileName);
-      if (!lock.ok()) return lock.status();
-      locks[s] = std::move(lock).value();
-    }
-    auto writer = JournalWriter::OpenLocked(dirs[s], journal_options,
-                                            std::move(locks[s]));
-    if (!writer.ok()) return writer.status();
-    writer.value()->set_base_round(service->rounds_closed());
-    writer.value()->AttachTelemetry(service->telemetry_.get());
-    service->journals_.push_back(std::move(writer).value());
-  }
-  service->session_->AttachJournals(RawJournals(service->journals_));
-  if (service->telemetry_ != nullptr) {
-    // The recovery fallback-ladder depth: how many corrupt checkpoints
-    // LoadForRecovery deleted before finding a usable one (0 on a clean
-    // recovery or when checkpointing is off).
-    service->telemetry_->registry()
-        .GetGauge("retrasyn_recovery_corrupt_checkpoints_skipped",
-                  "Corrupt checkpoints deleted by the last recovery's "
-                  "newest-first fallback ladder")
-        ->Set(corrupt_skipped);
-  }
-
-  // Finally the checkpoint subsystem, seeded with the recovered manifest,
-  // the surviving checkpoints, and the scanned segments (its future
-  // retirement candidates, per shard journal).
-  if (options.checkpoint_every_rounds > 0) {
-    auto manager = MaybeOpenCheckpoints(options, states, *service->engine_,
-                                        fingerprint, /*require_fresh=*/false);
-    if (!manager.ok()) return manager.status();
-    service->checkpoint_ = std::move(manager).value();
-    service->checkpoint_->AttachJournals(RawJournals(service->journals_));
-    service->checkpoint_->AttachTelemetry(service->telemetry_.get());
-    std::vector<std::vector<ScannedSegment>> segments_per_journal;
-    segments_per_journal.reserve(scans.size());
-    for (const JournalScan& scan : scans) {
-      segments_per_journal.push_back(scan.segments);
-    }
-    RETRASYN_RETURN_NOT_OK(service->checkpoint_->SeedRecovered(
-        ckpt, std::move(surviving), segments_per_journal));
-  }
-  return service;
+    const ServiceOptions& options, const RetraSynConfig* config,
+    OpenMode mode) {
+  auto plan = OpenPlan::Plan(states, engine.get(), options, config, mode);
+  if (!plan.ok()) return plan.status();
+  return std::move(plan).value().Apply(states, std::move(engine), options);
 }
 
 Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
@@ -689,11 +683,8 @@ Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
                                          int64_t target_round) {
   // Bucket each shard's events by the round they belong to, numbering from
   // that journal's own base round (per-shard BASE files may differ — shard
-  // segment sizes do). A kTick boundary closes one bucket; a kAdvanceTo
-  // closes through its target, leaving empty buckets for the skipped
-  // rounds (the session itself only ever journals kTick, but the codec
-  // admits kAdvanceTo, so replay handles it). The final bucket holds the
-  // open round's trailing events.
+  // segment sizes do). A kTick boundary closes one bucket; the final bucket
+  // holds the open round's trailing events.
   struct ShardBuckets {
     int64_t base = 0;
     std::vector<std::vector<const JournalEvent*>> rounds;
@@ -706,12 +697,6 @@ Status TrajectoryService::ReplayJournals(const std::vector<JournalScan>& scans,
     for (const JournalEvent& e : scans[s].events) {
       if (e.type == JournalEventType::kTick) {
         shard.rounds.emplace_back();
-      } else if (e.type == JournalEventType::kAdvanceTo) {
-        const int64_t current =
-            shard.base + static_cast<int64_t>(shard.rounds.size()) - 1;
-        for (int64_t r = current; r < e.target_t; ++r) {
-          shard.rounds.emplace_back();
-        }
       } else {
         shard.rounds.back().push_back(&e);
       }

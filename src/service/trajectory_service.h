@@ -61,14 +61,20 @@ class TrajectoryService {
   // either a RetraSynConfig (the service builds the RetraSynEngine and reads
   // the service knobs from the config's ServiceOptions base) or an owned
   // custom engine plus its ServiceOptions (ablation variants, the LDP-IDS
-  // baselines, future mechanisms). Every argument check runs before the
-  // first filesystem call, so a refused open leaves the directories exactly
+  // baselines, future mechanisms). All four run one open path: a plan that
+  // only reads the journal and checkpoint directories (argument checks,
+  // layout, locks, scans, fingerprints, the durable round, the checkpoint
+  // choice) and then an apply step that does every write. Every refusal
+  // comes from the plan, so a refused open leaves the directories exactly
   // as it found them. \p states must outlive the service.
 
   /// Builds a RetraSyn engine from \p config and wraps it in a service.
   /// Returns InvalidArgument (via RetraSynConfig::Validate and
   /// ServiceOptions::Validate) instead of crashing on a nonsensical
-  /// configuration.
+  /// configuration, and FailedPrecondition when the journal or checkpoint
+  /// directory already holds state to resume (a segment file, a shard-NNN
+  /// directory, a checkpoint or a history file): use Recover for those.
+  /// Create is the open plan over an empty deployment.
   static Result<std::unique_ptr<TrajectoryService>> Create(
       const StateSpace& states, const RetraSynConfig& config);
 
@@ -80,24 +86,24 @@ class TrajectoryService {
       const ServiceOptions& options = {});
 
   /// Rebuilds a crashed service from its event journal
-  /// (\p config.journal_dir): takes the journal's writer lock (so a live
-  /// writer can never be truncated underneath — FailedPrecondition if one
-  /// holds it), verifies the journal's deployment fingerprint against
+  /// (\p config.journal_dir). The plan takes the journal's writer lock (so a
+  /// live writer can never be truncated underneath — FailedPrecondition if
+  /// one holds it), verifies the journal's deployment fingerprint against
   /// \p states + \p config (FailedPrecondition on mismatch: replaying under
-  /// a changed deployment would silently diverge), scans the segments,
-  /// physically truncates a torn tail in the final segment (at the first
-  /// incomplete or checksum-failing record), replays every surviving event
+  /// a changed deployment would silently diverge), scans the segments and
+  /// picks the checkpoint. Only then does apply repair the directories
+  /// (stale files, the torn tail of the final segment, a shard's orphaned
+  /// round boundary, corrupt checkpoints), replay every surviving event
   /// through a fresh session *inline* — byte-identical state by the
-  /// Inline-vs-Async invariant — then re-arms the async closer (under
-  /// SyncPolicy::kAsync) and reopens the journal for appending in a new
-  /// segment. The recovered
-  /// service is byte-identical to the pre-crash one as of its last durable
-  /// round boundary; events journaled after that boundary are re-buffered
-  /// into the open round. A missing or empty journal recovers to a fresh
-  /// service, so deployments can always boot through Recover. Sinks are not
-  /// replayed — attach them afterwards (they start with the next closed
-  /// round; ReleaseServer instances that must cover the recovered prefix can
-  /// be rebuilt from SnapshotRelease).
+  /// Inline-vs-Async invariant — re-arm the async closer (under
+  /// SyncPolicy::kAsync) and reopen the journal for appending in a new
+  /// segment. The recovered service is byte-identical to the pre-crash one
+  /// as of its last durable round boundary; events journaled after that
+  /// boundary are re-buffered into the open round. A missing or empty
+  /// journal recovers to a fresh service, so deployments can always boot
+  /// through Recover. Sinks are not replayed — attach them afterwards (they
+  /// start with the next closed round; ReleaseServer instances that must
+  /// cover the recovered prefix can be rebuilt from SnapshotRelease).
   static Result<std::unique_ptr<TrajectoryService>> Recover(
       const StateSpace& states, const RetraSynConfig& config);
 
@@ -149,10 +155,6 @@ class TrajectoryService {
 
   const StreamReleaseEngine& engine() const { return *engine_; }
 
-  /// Ingest-side counters (per-shard depths, seal/merge/commit timings);
-  /// see IngestStats. Snapshot-consistent only after Drain().
-  IngestStats ingest_stats() const { return session_->stats(); }
-
   /// Snapshot of the unified telemetry subsystem: every registered metric
   /// (counters, gauges, latency histograms across ingest, closing,
   /// synthesis, journal, and checkpoint), the recent per-round phase traces,
@@ -181,13 +183,17 @@ class TrajectoryService {
   const RetraSynEngine* retrasyn_engine() const { return retrasyn_; }
 
  private:
-  /// \p defer_async_closer leaves the closer un-armed even under kAsync, so
-  /// Recover can replay the journal inline before ArmCloser re-enables it.
+  enum class OpenMode { kCreate, kRecover };
+  /// What opening a deployment found on disk and what it will do about it
+  /// (trajectory_service.cc): built by reading only, applied in one step.
+  struct OpenPlan;
+
+  /// Builds the service with no journal attached and the async closer
+  /// un-armed; the open path replays into it, then arms the closer and
+  /// attaches the journals and the checkpoint subsystem.
   TrajectoryService(const StateSpace& states,
                     std::unique_ptr<StreamReleaseEngine> engine,
-                    const ServiceOptions& options,
-                    std::vector<std::unique_ptr<JournalWriter>> journals,
-                    bool defer_async_closer = false);
+                    const ServiceOptions& options);
 
   /// Builds the async round-closing pipeline (kAsync only).
   void ArmCloser(const ServiceOptions& options);
@@ -200,17 +206,14 @@ class TrajectoryService {
   /// open round.
   Status ReplayJournals(const std::vector<JournalScan>& scans,
                         int64_t resume_round, int64_t target_round);
-  /// The open step behind both Create overloads, and the recovery flow
-  /// behind both Recover overloads (lock, fingerprint check, tail
-  /// truncation, inline replay, re-arm). \p config is the fingerprint
-  /// source of a Create(config)-built RetraSyn deployment; null for a
-  /// caller-supplied engine, whose fingerprint binds its name instead.
-  static Result<std::unique_ptr<TrajectoryService>> OpenFresh(
+  /// The one open path behind all four factories: plan (read-only), then
+  /// apply. \p config is the fingerprint source of a RetraSyn deployment;
+  /// null for a caller-supplied engine, whose fingerprint binds its name
+  /// instead. \p mode only decides what the plan refuses.
+  static Result<std::unique_ptr<TrajectoryService>> Open(
       const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-      const ServiceOptions& options, const RetraSynConfig* config);
-  static Result<std::unique_ptr<TrajectoryService>> RecoverImpl(
-      const StateSpace& states, std::unique_ptr<StreamReleaseEngine> engine,
-      const ServiceOptions& options, const RetraSynConfig* config);
+      const ServiceOptions& options, const RetraSynConfig* config,
+      OpenMode mode);
 
   /// The session's round handler: inline, runs the round to completion;
   /// async, submits it to the closer.

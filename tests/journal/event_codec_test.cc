@@ -22,9 +22,6 @@ std::vector<JournalEvent> AllEventKinds() {
       JournalEvent::Move(7, Point{3.25, -4.5}),
       JournalEvent::Quit(129),
       JournalEvent::Tick(),
-      JournalEvent::AdvanceTo(0),
-      JournalEvent::AdvanceTo(886),
-      JournalEvent::AdvanceTo(std::numeric_limits<int64_t>::max()),
   };
 }
 
@@ -177,6 +174,22 @@ TEST(EventCodecTest, UnknownTypeWithValidChecksumIsInvalidArgument) {
   JournalEvent out;
   EXPECT_EQ(DecodeRecord(buf.data(), buf.size(), &offset, &out).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(EventCodecTest, RetiredAdvanceToTypeByteIsUnknown) {
+  // Type byte 5 once named an AdvanceTo record that no session ever wrote;
+  // the codec no longer knows it, so even a well-framed one is garbage.
+  std::string payload(1, static_cast<char>(5));
+  PutVarint64(ZigzagEncode(886), &payload);
+  const std::string buf = FrameRaw(payload);
+  size_t offset = 0;
+  JournalEvent out;
+  const Status st = DecodeRecord(buf.data(), buf.size(), &offset, &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unknown journal event type 5"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(offset, 0u);
 }
 
 TEST(EventCodecTest, TrailingPayloadBytesAreInvalidArgument) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -564,6 +565,73 @@ class NullEngine : public StreamReleaseEngine {
   std::string name() const override { return "null-engine"; }
 };
 
+/// Every regular file under a directory tree, by relative path, with its
+/// bytes. An absent directory snapshots as empty.
+using FileTree = std::map<std::string, std::string>;
+
+FileTree SnapshotTree(const std::string& dir) {
+  FileTree files;
+  auto names = ListDirectory(dir);
+  if (!names.ok()) return files;
+  for (const std::string& name : names.value()) {
+    auto bytes = ReadFileToString(dir + "/" + name);
+    EXPECT_TRUE(bytes.ok()) << dir << "/" << name;
+    if (bytes.ok()) files[name] = std::move(bytes).value();
+  }
+  auto subdirs = ListSubdirectories(dir);
+  EXPECT_TRUE(subdirs.ok()) << dir;
+  if (!subdirs.ok()) return files;
+  for (const std::string& sub : subdirs.value()) {
+    for (auto& [name, bytes] : SnapshotTree(dir + "/" + sub)) {
+      files[sub + "/" + name] = std::move(bytes);
+    }
+  }
+  return files;
+}
+
+/// The paths that differ between two snapshots (added, removed, or with
+/// changed bytes), space-separated; empty when the trees are identical.
+std::string TreeDiff(const FileTree& before, const FileTree& after) {
+  std::string diff;
+  for (const auto& [name, bytes] : before) {
+    auto it = after.find(name);
+    if (it == after.end()) {
+      diff += " removed:" + name;
+    } else if (it->second != bytes) {
+      diff += " changed:" + name + "(" + std::to_string(bytes.size()) +
+              "->" + std::to_string(it->second.size()) + " bytes)";
+    }
+  }
+  for (const auto& [name, bytes] : after) {
+    if (before.count(name) == 0) diff += " added:" + name;
+  }
+  return diff;
+}
+
+void AppendBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+/// Path of the highest-numbered journal segment in \p dir; empty if none.
+std::string LastSegmentPath(const std::string& dir) {
+  auto names = ListDirectory(dir);
+  if (!names.ok()) return "";
+  uint64_t last = 0;
+  bool found = false;
+  for (const std::string& name : names.value()) {
+    uint64_t index = 0;
+    if (JournalWriter::ParseSegmentFileName(name, &index) &&
+        (!found || index > last)) {
+      last = index;
+      found = true;
+    }
+  }
+  return found ? dir + "/" + JournalWriter::SegmentFileName(last) : "";
+}
+
 TEST(CheckpointRecoveryTest, RefusedRecoverLeavesTheJournalUntouched) {
   // Every argument check runs before the first filesystem call: a Recover
   // refused because a custom engine cannot checkpoint must not cut the torn
@@ -592,12 +660,7 @@ TEST(CheckpointRecoveryTest, RefusedRecoverLeavesTheJournalUntouched) {
     }
   }
   ASSERT_EQ(segments.size(), 1u);
-  {
-    std::FILE* f = std::fopen(segments[0].c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite("garbage", 1, 7, f), 7u);
-    ASSERT_EQ(std::fclose(f), 0);
-  }
+  AppendBytes(segments[0], "garbage");
   auto torn = ReadFileToString(segments[0]);
   ASSERT_TRUE(torn.ok());
 
@@ -623,10 +686,11 @@ TEST(CheckpointRecoveryTest, RefusedRecoverLeavesTheJournalUntouched) {
   ASSERT_TRUE(cut.ok());
   EXPECT_EQ(cut.value(), static_cast<int64_t>(torn.value().size()) - 7);
 
-  // A Recover refused by the deployment fingerprint (here a changed seed)
-  // must not run the journal's crash janitor either: an orphaned BASE.tmp
-  // and a segment below BASE survive it, and only the accepted Recover
-  // deletes them.
+  // A refusal found at any step of the open plan must not run the crash
+  // janitor, cut a torn tail or touch a checkpoint either. A compacted
+  // journal gets an orphaned BASE.tmp, a segment below BASE and a torn tail,
+  // and every refused Recover below must leave the journal and checkpoint
+  // trees byte-for-byte as it found them.
   TempDir compacted;
   RetraSynConfig config = CheckpointedConfig(compacted.path());
   config.checkpoint_every_rounds = 10;
@@ -647,19 +711,119 @@ TEST(CheckpointRecoveryTest, RefusedRecoverLeavesTheJournalUntouched) {
       config.journal_dir + "/" + kJournalBaseFileName + ".tmp";
   WriteBytes(dead, "dead segment");
   WriteBytes(orphan, "torn base");
+  const std::string last_segment = LastSegmentPath(config.journal_dir);
+  ASSERT_FALSE(last_segment.empty());
+  AppendBytes(last_segment, "garbage");
+  auto torn_size = FileSize(last_segment);
+  ASSERT_TRUE(torn_size.ok());
+  const std::string newest =
+      config.checkpoint_dir + "/" + CheckpointFileName(60);
+  const std::string older =
+      config.checkpoint_dir + "/" + CheckpointFileName(50);
+  ASSERT_TRUE(FileExists(newest));
+  ASSERT_TRUE(FileExists(older));
 
+  auto expect_refused_untouched = [&](const RetraSynConfig& recover_config,
+                                      StatusCode code,
+                                      const std::string& cause) {
+    const FileTree journal_before = SnapshotTree(config.journal_dir);
+    const FileTree ckpt_before = SnapshotTree(config.checkpoint_dir);
+    const bool ckpt_existed = ListDirectory(config.checkpoint_dir).ok();
+    auto refused = TrajectoryService::Recover(states, recover_config);
+    EXPECT_EQ(refused.status().code(), code)
+        << cause << ": " << refused.status().ToString();
+    EXPECT_EQ(TreeDiff(journal_before, SnapshotTree(config.journal_dir)), "")
+        << cause;
+    EXPECT_EQ(TreeDiff(ckpt_before, SnapshotTree(config.checkpoint_dir)), "")
+        << cause;
+    EXPECT_EQ(ListDirectory(config.checkpoint_dir).ok(), ckpt_existed)
+        << cause;
+    return refused.status();
+  };
+
+  // Refused by the journal's deployment fingerprint (a changed seed).
   RetraSynConfig reseeded = config;
   reseeded.seed += 1;
-  EXPECT_EQ(TrajectoryService::Recover(states, reseeded).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(FileExists(dead));
-  EXPECT_TRUE(FileExists(orphan));
+  expect_refused_untouched(reseeded, StatusCode::kFailedPrecondition,
+                           "changed seed");
 
+  // Refused by coverage: the checkpoint directory is gone under a journal
+  // compacted past round 0.
+  const std::string away = compacted.path() + "/ckpt2";
+  ASSERT_TRUE(RenameFile(config.checkpoint_dir, away).ok());
+  const FileTree away_before = SnapshotTree(away);
+  const Status missing = expect_refused_untouched(
+      config, StatusCode::kIOError, "checkpoint dir missing");
+  EXPECT_NE(missing.message().find("no usable checkpoint"), std::string::npos)
+      << missing.ToString();
+  EXPECT_EQ(TreeDiff(away_before, SnapshotTree(away)), "");
+  ASSERT_TRUE(RenameFile(away, config.checkpoint_dir).ok());
+
+  // Refused by the grid check: the newest checkpoint carries this
+  // deployment's fingerprint around a body captured on a different grid.
+  const auto other_grid_owner = MakeEnvGrid(box, 4);
+  const StateSpace other_states(*other_grid_owner);
+  TempDir other;
+  RetraSynConfig other_config = CheckpointedConfig(other.path());
+  other_config.checkpoint_every_rounds = 10;
+  {
+    auto service = TrajectoryService::Create(other_states, other_config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DriveChurnRounds(service.value()->session(), *other_grid_owner, 0, 60, 20,
+                     4);
+    ASSERT_TRUE(service.value()->Drain().ok());
+  }
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(ReadFramedFile(newest, kCheckpointMagic, &fingerprint).ok());
+  uint64_t ignored = 0;
+  auto other_body =
+      ReadFramedFile(other_config.checkpoint_dir + "/" + CheckpointFileName(60),
+                     kCheckpointMagic, &ignored);
+  ASSERT_TRUE(other_body.ok()) << other_body.status().ToString();
+  auto newest_bytes = ReadFileToString(newest);
+  ASSERT_TRUE(newest_bytes.ok());
+  ASSERT_TRUE(WriteFramedFile(config.checkpoint_dir, CheckpointFileName(60),
+                              kCheckpointMagic, fingerprint,
+                              other_body.value())
+                  .ok());
+  const std::string ckpt_orphan = config.checkpoint_dir + "/" +
+                                  CheckpointFileName(70) + ".tmp";
+  WriteBytes(ckpt_orphan, "torn checkpoint");
+  const Status regridded = expect_refused_untouched(
+      config, StatusCode::kFailedPrecondition, "re-framed grid");
+  EXPECT_NE(regridded.message().find("spatial grid"), std::string::npos)
+      << regridded.ToString();
+  WriteBytes(newest, newest_bytes.value());
+
+  // Refused by a checkpoint fingerprint: a valid foreign checkpoint sits
+  // behind a corrupt newer one, so the ladder skips the newest and then
+  // refuses; the orphaned checkpoint tmp file stays too.
+  auto older_bytes = ReadFileToString(older);
+  ASSERT_TRUE(older_bytes.ok());
+  auto older_body = ReadFramedFile(older, kCheckpointMagic, &ignored);
+  ASSERT_TRUE(older_body.ok());
+  ASSERT_TRUE(WriteFramedFile(config.checkpoint_dir, CheckpointFileName(50),
+                              kCheckpointMagic, fingerprint + 1,
+                              older_body.value())
+                  .ok());
+  WriteBytes(newest, newest_bytes.value().substr(0, 40));
+  expect_refused_untouched(config, StatusCode::kFailedPrecondition,
+                           "foreign checkpoint behind a corrupt one");
+  WriteBytes(older, older_bytes.value());
+
+  // The accepted Recover does every repair the refused ones skipped, and
+  // falls back past the corrupt newest checkpoint.
   auto accepted = TrajectoryService::Recover(states, config);
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(accepted.value()->rounds_closed(), 60);
   EXPECT_FALSE(FileExists(dead));
   EXPECT_FALSE(FileExists(orphan));
+  auto cut_size = FileSize(last_segment);
+  ASSERT_TRUE(cut_size.ok());
+  EXPECT_EQ(cut_size.value(), torn_size.value() - 7);
+  EXPECT_FALSE(FileExists(ckpt_orphan));
+  EXPECT_FALSE(FileExists(newest));
+  EXPECT_TRUE(FileExists(older));
 }
 
 TEST(CheckpointRecoveryTest, GuardsRefuseUncheckpointableConfigurations) {

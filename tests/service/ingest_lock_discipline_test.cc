@@ -10,8 +10,8 @@
 //     concurrent attach/detach was a race on the pointer itself.
 //  2. RestoreCheckpointState populated shard->active (and the active-streams
 //     gauge) with no locks, relying on "the session is fresh" — but fresh
-//     never meant unobserved: a monitoring thread polling stats() or
-//     num_active_users() during recovery read the same maps.
+//     never meant unobserved: a monitoring thread polling num_active_users()
+//     or num_pending_events() during recovery read the same maps.
 
 #include "service/ingest_session.h"
 
@@ -114,7 +114,7 @@ TEST(IngestLockDisciplineTest, RestoreConcurrentWithStatsReaders) {
     // The monitoring pattern: poll liveness while recovery is in flight.
     while (!stop.load(std::memory_order_relaxed)) {
       (void)session.num_active_users();
-      (void)session.stats();
+      (void)session.num_pending_events();
     }
   });
   ASSERT_TRUE(session.RestoreCheckpointState(std::move(state)).ok());

@@ -276,7 +276,19 @@ TEST(ShardedIngestTest, ConcurrentProducersReleaseIdenticalBytes) {
   ExpectSameRelease(got.value(), want.value());
 }
 
-TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
+/// The registry sample named \p name in \p snap: the unlabelled one, or the
+/// one labelled shard=\p shard when \p shard >= 0. Null when absent.
+const MetricSample* FindMetric(const TelemetrySnapshot& snap,
+                               const std::string& name, int shard = -1) {
+  MetricsRegistry::Labels labels;
+  if (shard >= 0) labels.emplace_back("shard", std::to_string(shard));
+  for (const MetricSample& sample : snap.metrics) {
+    if (sample.name == name && sample.labels == labels) return &sample;
+  }
+  return nullptr;
+}
+
+TEST(ShardedIngestTest, IngestMetricsTrackQueueDepthsAndTimings) {
   const BoundingBox box{0.0, 0.0, 400.0, 400.0};
   const auto grid_owner = MakeEnvGrid(box, 4);
   const SpatialGrid& grid = *grid_owner;
@@ -289,24 +301,38 @@ TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
   ASSERT_TRUE(service.ok());
   DriveRounds(service.value()->session(), traces, 0, kHorizon);
 
-  const IngestStats stats = service.value()->ingest_stats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  EXPECT_EQ(stats.rounds_sealed, static_cast<uint64_t>(kHorizon));
-  EXPECT_GT(stats.entries_merged, 0u);
-  EXPECT_GT(stats.seal_seconds, 0.0);
-  EXPECT_GT(stats.merge_seconds, 0.0);
-  EXPECT_GT(stats.commit_seconds, 0.0);
+  const TelemetrySnapshot snap = service.value()->telemetry();
+  auto metric = [&snap](const std::string& name,
+                        int shard = -1) -> const MetricSample& {
+    static const MetricSample kMissing;
+    const MetricSample* sample = FindMetric(snap, name, shard);
+    EXPECT_NE(sample, nullptr) << name << " shard=" << shard;
+    return sample != nullptr ? *sample : kMissing;
+  };
+  EXPECT_EQ(metric("retrasyn_ingest_rounds_sealed_total").value,
+            static_cast<double>(kHorizon));
+  EXPECT_GT(metric("retrasyn_ingest_entries_merged_total").value, 0.0);
+  EXPECT_GT(metric("retrasyn_ingest_seal_seconds").histogram.sum_seconds, 0.0);
+  EXPECT_GT(metric("retrasyn_ingest_merge_seconds").histogram.sum_seconds,
+            0.0);
+  EXPECT_GT(metric("retrasyn_ingest_commit_seconds").histogram.sum_seconds,
+            0.0);
   // Inline closing hands every consumed batch back, so each round after the
   // first seals into a recycled observation buffer.
-  EXPECT_EQ(stats.obs_buffers_reused, static_cast<uint64_t>(kHorizon - 1));
+  EXPECT_EQ(metric("retrasyn_ingest_obs_buffers_reused_total").value,
+            static_cast<double>(kHorizon - 1));
 
-  uint64_t accepted = 0, peak = 0, rejected = 0;
-  for (const IngestShardStats& shard : stats.shards) {
-    accepted += shard.events_accepted;
-    rejected += shard.events_rejected;
-    peak = std::max(peak, shard.peak_pending_events);
+  // One labelled series per shard, and none beyond the configured four.
+  EXPECT_EQ(FindMetric(snap, "retrasyn_ingest_events_accepted_total", 4),
+            nullptr);
+  double accepted = 0, peak = 0, rejected = 0;
+  for (int shard = 0; shard < 4; ++shard) {
+    accepted += metric("retrasyn_ingest_events_accepted_total", shard).value;
+    rejected += metric("retrasyn_ingest_events_rejected_total", shard).value;
+    peak = std::max(
+        peak, metric("retrasyn_ingest_pending_events_peak", shard).value);
     // Round boundaries drain every queue.
-    EXPECT_EQ(shard.pending_events, 0u);
+    EXPECT_EQ(metric("retrasyn_ingest_pending_events", shard).value, 0.0);
   }
   uint64_t total_events = 0;
   for (const DeviceTrace& trace : traces) {
@@ -315,17 +341,22 @@ TEST(ShardedIngestTest, IngestStatsTrackQueueDepthsAndTimings) {
         trace.enter_time + static_cast<int64_t>(trace.points.size());
     if (end < kHorizon) ++total_events;  // the quit
   }
-  EXPECT_EQ(accepted, total_events);
-  EXPECT_EQ(rejected, 0u);
-  EXPECT_GT(peak, 0u);
+  EXPECT_EQ(accepted, static_cast<double>(total_events));
+  EXPECT_EQ(rejected, 0.0);
+  EXPECT_GT(peak, 0.0);
 
-  // Validation failures land in events_rejected without perturbing state.
+  // Validation failures land in the rejected counters without perturbing
+  // state.
   EXPECT_FALSE(service.value()->session().Move(1u << 20, Point{10, 10}).ok());
-  uint64_t rejected_after = 0;
-  for (const auto& shard : service.value()->ingest_stats().shards) {
-    rejected_after += shard.events_rejected;
+  const TelemetrySnapshot after = service.value()->telemetry();
+  double rejected_after = 0;
+  for (int shard = 0; shard < 4; ++shard) {
+    const MetricSample* sample =
+        FindMetric(after, "retrasyn_ingest_events_rejected_total", shard);
+    ASSERT_NE(sample, nullptr);
+    rejected_after += sample->value;
   }
-  EXPECT_EQ(rejected_after, 1u);
+  EXPECT_EQ(rejected_after, 1.0);
 }
 
 TEST(ShardedIngestTest, KillAndRecoverShardedByteIdentical) {
